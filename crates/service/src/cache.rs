@@ -6,12 +6,10 @@
 //! The per-spec `OnceLock` gives single-flight semantics: when eight
 //! concurrent requests name the same topology, exactly one thread builds
 //! the table (the expensive part of a replay, per PR 3) and the other
-//! seven block on the lock and then share the finished `Arc`. The storage
-//! plan mirrors `RoutedTopology::auto`: machines within
-//! [`DENSE_PAIR_LIMIT`] ordered pairs get a flat CSR; larger
-//! router-symmetric machines within [`COMPRESSED_PAIR_LIMIT`] ordered
-//! *router* pairs get a compressed per-router table; everything else is
-//! never cached — the caller falls back to per-request lazy rows.
+//! seven block on the lock and then share the finished `Arc`. Which table
+//! a machine gets is the topology crate's [`StoragePlan`]; machines it
+//! routes with lazy rows are never cached, and the caller builds those
+//! rows per request.
 //!
 //! **Level 2 — [`ResultCache`]:** content-addressed response bytes. The key
 //! is the canonical string `digest(trace)|topology|mapping` (specs in their
@@ -31,8 +29,8 @@
 
 use crate::store::{DiskStore, Kind};
 use netloc_core::canon::content_digest;
-use netloc_topology::routetable::{COMPRESSED_PAIR_LIMIT, DENSE_PAIR_LIMIT};
-use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, SymmetryHint, Topology};
+use netloc_topology::routetable::StoragePlan;
+use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, Topology};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,10 +43,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// stores either.
 #[derive(Clone)]
 pub enum SharedRoutes {
-    /// Flat all-pairs CSR (machines within [`DENSE_PAIR_LIMIT`]).
+    /// Flat all-pairs CSR ([`StoragePlan::Dense`]).
     Flat(Arc<RouteTable>),
-    /// Compressed per-router-pair core table (router-symmetric machines
-    /// within [`COMPRESSED_PAIR_LIMIT`] router pairs).
+    /// Compressed per-router-pair core table ([`StoragePlan::Compressed`]).
     Compressed(Arc<CompressedRouteTable>),
 }
 
@@ -89,33 +86,6 @@ impl SharedRoutes {
     }
 }
 
-/// Which representation [`TopoCache`] plans for a machine, mirroring the
-/// `RoutedTopology::auto` heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Plan {
-    Flat,
-    Compressed,
-}
-
-fn plan_for(topo: &dyn Topology) -> Option<Plan> {
-    let n = topo.num_nodes();
-    if n.saturating_mul(n) <= DENSE_PAIR_LIMIT {
-        return Some(Plan::Flat);
-    }
-    if let Some(SymmetryHint::RouterSymmetric {
-        nodes_per_router: p,
-    }) = topo.symmetry_hint()
-    {
-        if p > 0 && n.is_multiple_of(p) {
-            let routers = n / p;
-            if routers.saturating_mul(routers) <= COMPRESSED_PAIR_LIMIT {
-                return Some(Plan::Compressed);
-            }
-        }
-    }
-    None
-}
-
 /// Level-1 cache: canonical topology spec → shared route storage,
 /// optionally persisted to a [`DiskStore`].
 #[derive(Default)]
@@ -136,13 +106,16 @@ impl TopoCache {
         }
     }
 
-    /// The shared route storage for `canonical_spec`, building it from
-    /// `topo` on first use (single-flight: concurrent callers block on one
-    /// build). Returns `None` for machines too large for either cached
-    /// representation; those run with per-request lazy rows instead.
+    /// The shared route storage for `canonical_spec`: the table the
+    /// [`StoragePlan`] picks for `topo`, built on first use (single-flight:
+    /// concurrent callers block on one build). Returns `None` when the
+    /// plan routes the machine with lazy rows, which are never cached.
     pub fn shared_routes(&self, canonical_spec: &str, topo: &dyn Topology) -> Option<SharedRoutes> {
-        let n = topo.num_nodes();
-        let plan = plan_for(topo)?;
+        let flat = match StoragePlan::of(topo) {
+            StoragePlan::Dense => true,
+            StoragePlan::Compressed => false,
+            StoragePlan::LazyCompressed | StoragePlan::Lazy => return None,
+        };
         let cell = {
             let mut cells = self.cells.lock().expect("topo cache lock");
             Arc::clone(
@@ -155,27 +128,24 @@ impl TopoCache {
             // Read-through: a verified disk entry that decodes to the
             // planned representation for the same machine size replaces
             // the expensive build.
-            if let Some(store) = &self.store {
-                if let Some(bytes) = store.get(Kind::Table, canonical_spec) {
-                    if let Ok(routes) = SharedRoutes::from_bytes(&bytes) {
-                        let matches_plan = matches!(
-                            (&routes, plan),
-                            (SharedRoutes::Flat(_), Plan::Flat)
-                                | (SharedRoutes::Compressed(_), Plan::Compressed)
-                        );
-                        if matches_plan && routes.num_nodes() == n {
-                            self.from_disk.fetch_add(1, Ordering::Relaxed);
-                            return routes;
-                        }
-                    }
-                }
+            let restored = self
+                .store
+                .as_ref()
+                .and_then(|store| store.get(Kind::Table, canonical_spec))
+                .and_then(|bytes| SharedRoutes::from_bytes(&bytes).ok())
+                .filter(|routes| {
+                    matches!(routes, SharedRoutes::Flat(_)) == flat
+                        && routes.num_nodes() == topo.num_nodes()
+                });
+            if let Some(routes) = restored {
+                self.from_disk.fetch_add(1, Ordering::Relaxed);
+                return routes;
             }
             self.builds.fetch_add(1, Ordering::Relaxed);
-            let routes = match plan {
-                Plan::Flat => SharedRoutes::Flat(Arc::new(RouteTable::build(topo))),
-                Plan::Compressed => {
-                    SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
-                }
+            let routes = if flat {
+                SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))
+            } else {
+                SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
             };
             if let Some(store) = &self.store {
                 store.put(Kind::Table, canonical_spec, &routes.to_bytes());
@@ -183,20 +153,6 @@ impl TopoCache {
             routes
         });
         Some(routes.clone())
-    }
-
-    /// Back-compat convenience: the flat table for `canonical_spec`, when
-    /// the machine is small enough for one (`None` otherwise, including
-    /// machines the cache serves compressed).
-    pub fn shared_table(
-        &self,
-        canonical_spec: &str,
-        topo: &dyn Topology,
-    ) -> Option<Arc<RouteTable>> {
-        match self.shared_routes(canonical_spec, topo) {
-            Some(SharedRoutes::Flat(t)) => Some(t),
-            _ => None,
-        }
     }
 
     /// Route tables actually built so far (disk restores are counted
@@ -413,7 +369,10 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     let topo = Torus3D::new([3, 3, 3]);
-                    cache.shared_table("torus:3,3,3", &topo).unwrap()
+                    match cache.shared_routes("torus:3,3,3", &topo) {
+                        Some(SharedRoutes::Flat(t)) => t,
+                        _ => panic!("a 27-node torus is cached flat"),
+                    }
                 })
             })
             .collect();
@@ -430,7 +389,7 @@ mod tests {
         let cache = TopoCache::default();
         // 44³ = 85 184 nodes → 7.3e9 ordered pairs, far over the limit.
         let big = Torus3D::new([44, 44, 44]);
-        assert!(cache.shared_table("torus:44,44,44", &big).is_none());
+        assert!(cache.shared_routes("torus:44,44,44", &big).is_none());
         assert_eq!(cache.tables_built(), 0);
     }
 
@@ -518,7 +477,7 @@ mod tests {
         let built = {
             let store = DiskStore::open(&dir).unwrap();
             let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-            let t = cache.shared_table("torus:3,4,2", &topo).unwrap();
+            let t = cache.shared_routes("torus:3,4,2", &topo).unwrap();
             assert_eq!(cache.tables_built(), 1);
             assert_eq!(cache.tables_from_disk(), 0);
             store.flush();
@@ -527,7 +486,8 @@ mod tests {
         // "Restart": fresh cache over the same store.
         let store = DiskStore::open(&dir).unwrap();
         let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-        let restored = cache.shared_table("torus:3,4,2", &topo).unwrap();
+        let restored = cache.shared_routes("torus:3,4,2", &topo).unwrap();
+        assert!(matches!(restored, SharedRoutes::Flat(_)));
         assert_eq!(cache.tables_built(), 0, "no rebuild after restart");
         assert_eq!(cache.tables_from_disk(), 1);
         assert_eq!(
@@ -549,9 +509,10 @@ mod tests {
         let routes = cache.shared_routes("slimfly:13,7", &topo).unwrap();
         assert!(matches!(routes, SharedRoutes::Compressed(_)));
         assert_eq!(cache.tables_built(), 1);
-        // The flat-only accessor declines what it cannot represent.
-        assert!(cache.shared_table("slimfly:13,7", &topo).is_none());
-        assert_eq!(cache.tables_built(), 1, "flat accessor reuses the cell");
+        // A second lookup reuses the cell.
+        let again = cache.shared_routes("slimfly:13,7", &topo);
+        assert!(matches!(again, Some(SharedRoutes::Compressed(_))));
+        assert_eq!(cache.tables_built(), 1, "second lookup reuses the cell");
         // The cached storage routes identically to the topology itself.
         let routed = routes.routed(&topo);
         let mut scratch = Vec::new();
@@ -604,5 +565,17 @@ mod tests {
         assert_eq!(flat2.to_bytes(), flat.to_bytes());
         assert_eq!(comp2.to_bytes(), comp.to_bytes());
         assert!(SharedRoutes::from_bytes(b"garbage").is_err());
+        // The stored layout itself is pinned, not just its round trip: a
+        // layout change on both sides would still round-trip, yet every
+        // table in an existing data dir would be rebuilt after an upgrade.
+        let pin = |routes: &SharedRoutes| {
+            let bytes = routes.to_bytes();
+            (
+                bytes.len(),
+                netloc_core::canon::digest_hex(content_digest(&bytes)),
+            )
+        };
+        assert_eq!(pin(&flat), (8_760, "8ed386711bf3b30f".to_string()));
+        assert_eq!(pin(&comp), (28_228, "07b8e4fe5757290f".to_string()));
     }
 }

@@ -18,7 +18,7 @@ use netloc_core::canon::{canonical_json, content_digest, digest_hex};
 use netloc_core::sweep::GridSpec;
 use netloc_core::{ingest_trace, ingest_trace_bytes, IngestResult};
 use netloc_mpi::Trace;
-use netloc_topology::{MappingSpec, RoutedTopology, SymmetryHint, TopologySpec};
+use netloc_topology::{MappingSpec, RoutedTopology, TopologySpec};
 use serde::{Serialize, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -600,10 +600,12 @@ fn decode_windows(fields: &[(String, Value)]) -> Result<Option<usize>, Response>
 // ---- analysis endpoints ----------------------------------------------
 
 /// Build the topology and its routed view, then run `work` against it.
-/// Shared storage (flat or compressed) when the topo cache accepts the
-/// machine, per-request lazy rows otherwise; all modes produce identical
-/// reports. Shared with the job subsystem, which is how job cells ride
-/// the same single-flight route tables as interactive requests.
+/// The topo cache shares the table the storage plan picks; a machine the
+/// plan routes with lazy rows gets them per request from
+/// [`RoutedTopology::auto`], which follows the same plan. All modes
+/// produce identical reports. Shared with the job subsystem, which is how
+/// job cells ride the same single-flight route tables as interactive
+/// requests.
 pub(crate) fn with_routed<T>(
     state: &AppState,
     topo_spec: &TopologySpec,
@@ -613,17 +615,7 @@ pub(crate) fn with_routed<T>(
     let canonical = topo_spec.to_string();
     let routed = match state.topo_cache.shared_routes(&canonical, topo.as_ref()) {
         Some(routes) => routes.routed(topo.as_ref()),
-        // Past both cache limits: lazy per-router core rows when the
-        // machine is router-symmetric, lazy flat rows otherwise (the same
-        // tail as `RoutedTopology::auto`).
-        None => match topo.symmetry_hint() {
-            Some(SymmetryHint::RouterSymmetric {
-                nodes_per_router: p,
-            }) if p > 0 && topo.num_nodes() % p == 0 => {
-                RoutedTopology::lazy_compressed(topo.as_ref())
-            }
-            _ => RoutedTopology::lazy(topo.as_ref()),
-        },
+        None => RoutedTopology::auto(topo.as_ref()),
     };
     Ok(work(&routed))
 }

@@ -23,7 +23,7 @@ use netloc_sim::{
     expand_trace, simulate_parallel, simulate_reference, Forwarding, SimConfig, SimExec, SimReport,
 };
 use netloc_topology::bfs::{validate_walk, BfsRouter};
-use netloc_topology::{NodeId, RoutedTopology, Topology};
+use netloc_topology::{NodeId, RouteTable, RoutedTopology, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -133,7 +133,7 @@ pub fn check_routes(topo: &dyn Topology, allow_one_hop_detour: bool) -> (Vec<Str
 /// Returns violations; the second tuple element is the number of pairs
 /// checked (each pair checks every applicable storage mode).
 pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
-    let table = topo.route_table();
+    let table = RouteTable::build(topo);
     let lazy = RoutedTopology::lazy(topo);
     let symmetric = topo.symmetry_hint().is_some();
     let compressed_modes = if symmetric {

@@ -232,7 +232,7 @@ mod tests {
         ] {
             let new = DistanceMatrix::new(topo);
             let reference = DistanceMatrix::new_reference(topo);
-            let from_table = DistanceMatrix::from_route_table(&topo.route_table());
+            let from_table = DistanceMatrix::from_route_table(&RouteTable::build(topo));
             for s in 0..topo.num_nodes() {
                 for d in 0..topo.num_nodes() {
                     let (sn, dn) = (NodeId(s as u32), NodeId(d as u32));

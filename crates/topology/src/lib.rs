@@ -141,19 +141,13 @@ pub trait Topology: Sync {
         out
     }
 
-    /// Precompute every route of this topology into a dense CSR
-    /// [`RouteTable`] (parallel build; see `routetable` for the memory
-    /// bound and a lazy alternative for very large machines).
-    fn route_table(&self) -> RouteTable {
-        RouteTable::build(self)
-    }
-
     /// Structural symmetry of this topology's routes, if any. The default
     /// reports none; router-symmetric families (dragonfly, Slim Fly,
-    /// HyperX, Jellyfish) override it so [`RoutedTopology::auto`] can pick
-    /// compressed route storage. Topologies whose core depends on more
-    /// than the router pair (the fat tree's up-path follows destination
-    /// digits; the torus has no terminal links at all) must stay `None`.
+    /// HyperX, Jellyfish) override it so the [`routetable::StoragePlan`]
+    /// can pick compressed route storage. Topologies whose core depends on
+    /// more than the router pair (the fat tree's up-path follows
+    /// destination digits; the torus has no terminal links at all) must
+    /// stay `None`.
     fn symmetry_hint(&self) -> Option<SymmetryHint> {
         None
     }

@@ -6,14 +6,34 @@
 //! sizes (§4.2, Tables 4–6). The routes of a fixed topology never change
 //! between those replays, so recomputing them per replay (as
 //! `route_into` callers in tight loops used to do) wastes the dominant
-//! share of replay time. A [`RouteTable`] materializes every route of a
-//! topology once, in a flat CSR layout that replays read back as plain
-//! slices:
+//! share of replay time. The tables here materialize routes once and
+//! replays read them back as plain slices.
+//!
+//! ## One CSR core
+//!
+//! Every route store in this module is the same private compressed
+//! sparse row (CSR) core, a flat run of entries where entry `i` is a link
+//! sequence:
 //!
 //! ```text
-//! offsets: [0, .., o(s·n + d), o(s·n + d + 1), ..]    (n² + 1 entries, u32)
-//! links:   [... route(s, d) = links[o(s·n+d) .. o(s·n+d+1)] ...]
+//! offsets: [0, .., o(i), o(i + 1), ..]    (entries + 1 offsets, u32)
+//! links:   [... entry(i) = links[o(i) .. o(i + 1)] ...]
 //! ```
+//!
+//! The stores differ only in what an entry holds:
+//!
+//! | store                    | entries            | entry                              |
+//! |--------------------------|--------------------|------------------------------------|
+//! | [`RouteTable`]           | `n²` node pairs    | `route(s, d)` at `s·n + d`         |
+//! | [`CompressedRouteTable`] | `R²` router pairs  | `core(rs, rd)` at `rs·R + rd`      |
+//! | [`SourceRow`]            | `n` destinations   | `route(src, d)` at `d`             |
+//! | lazy core row            | `R` routers        | `core(rs, rd)` at `rd`             |
+//!
+//! One source-parallel builder makes both tables and one row builder makes
+//! both kinds of row; one writer and one validating reader are the codec
+//! of both tables. The parallel build uses rayon (`par_chunks`) over
+//! sources and concatenates the chunks in source order, so the table
+//! bytes are deterministic.
 //!
 //! ## Memory bound
 //!
@@ -28,46 +48,34 @@
 //! | dragonfly (8,4,4)   | 1 056  | ≈  21 MiB  |
 //! | fat tree (48,3)     | 13 824 | ≈ 4.3 GiB  |
 //!
-//! Dense is therefore the default only up to [`DENSE_PAIR_LIMIT`] ordered
-//! pairs ([`RoutedTopology::auto`]); beyond that the lazy per-source-row
-//! mode computes one [`SourceRow`] (`4·(n + 1) + 4·Σ_d hops(s, d)` bytes)
-//! per *touched* source on demand, which is exactly what a replay with far
-//! fewer communicating nodes than machine nodes needs.
-//!
 //! Router-symmetric topologies (dragonfly, Slim Fly, HyperX, Jellyfish —
-//! anything reporting [`SymmetryHint::RouterSymmetric`]) get a third
-//! option: a [`CompressedRouteTable`] stores one route *core* per router
-//! pair instead of one route per node pair and expands the two terminal
-//! hops on the fly, cutting memory by ~`p²` (nodes-per-router squared)
-//! while replaying byte-identical routes. That is what makes 100k–1M
-//! endpoint machines practical; see its type-level docs for the exact
-//! bound.
+//! anything reporting [`SymmetryHint::RouterSymmetric`]) can instead use
+//! a [`CompressedRouteTable`]: it stores one route *core* per router pair
+//! instead of one route per node pair and expands the two terminal hops
+//! on the fly, cutting memory by ~`p²` (nodes-per-router squared) while
+//! replaying byte-identical routes. That is what makes 100k–1M endpoint
+//! machines practical; see its type-level docs for the exact bound.
+//! Machines too large for either table build one row per *touched*
+//! source on demand, which is exactly what a replay with far fewer
+//! communicating nodes than machine nodes needs.
 //!
-//! Construction is embarrassingly parallel over sources and uses rayon
-//! (`par_chunks`); the chunk results are concatenated in source order, so
-//! the table bytes are deterministic.
+//! ## One storage plan
+//!
+//! [`StoragePlan::of`] is the only place that chooses among these stores.
+//! [`RoutedTopology::auto`] follows it, and so does the analysis
+//! service's route cache, which shares the planned table across requests.
 
 use crate::link::{LinkId, NodeId};
 use crate::{SymmetryHint, Topology};
 use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-/// Ordered **node**-pair count up to which [`RoutedTopology::auto`] picks a
+/// Ordered **node**-pair count up to which [`StoragePlan::of`] picks a
 /// dense table (4M pairs ≈ a 2 000-node machine ≈ 150–200 MiB with typical
 /// mean route lengths; see the module docs for the exact bound).
-///
-/// The full auto heuristic, in order:
-/// 1. `n² ≤ DENSE_PAIR_LIMIT` → dense flat CSR (O(1) lookups, every route
-///    stored verbatim; unbeatable at paper scale).
-/// 2. Otherwise, if the topology advertises
-///    [`SymmetryHint::RouterSymmetric`], routes dedupe to one core per
-///    *router* pair: `R² ≤ `[`COMPRESSED_PAIR_LIMIT`] →
-///    [`CompressedRouteTable`] (full precompute, ~`p²` smaller than flat),
-///    else lazy per-source-router core rows.
-/// 3. No symmetry → lazy per-source flat rows (the pre-existing fallback).
 pub const DENSE_PAIR_LIMIT: usize = 4_000_000;
 
-/// Ordered **router**-pair count up to which [`RoutedTopology::auto`] fully
+/// Ordered **router**-pair count up to which [`StoragePlan::of`] fully
 /// precomputes a [`CompressedRouteTable`] for router-symmetric topologies.
 /// 64M router pairs ≈ 8 000 routers ≈ 256 MiB of offsets plus the core
 /// links — the same memory envelope the dense limit allows, shifted from
@@ -75,15 +83,226 @@ pub const DENSE_PAIR_LIMIT: usize = 4_000_000;
 /// built lazily on first touch.
 pub const COMPRESSED_PAIR_LIMIT: usize = 64_000_000;
 
-/// CSR routes from one source node to every destination of a topology.
-///
-/// The lazy building block of the replay engine: `offsets` has `n + 1`
-/// entries and `route(src, d) = links[offsets[d] .. offsets[d + 1]]`.
+/// The route storage a topology gets: the one storage decision, shared by
+/// [`RoutedTopology::auto`] and the analysis service's route cache. Each
+/// variant names the [`RoutedTopology`] constructor that builds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoragePlan {
+    /// [`RoutedTopology::dense`]: `n² ≤ `[`DENSE_PAIR_LIMIT`] — O(1)
+    /// lookups, every route stored verbatim; unbeatable at paper scale.
+    Dense,
+    /// [`RoutedTopology::compressed`]: past the dense limit, router
+    /// symmetric, and `R² ≤ `[`COMPRESSED_PAIR_LIMIT`] — full precompute,
+    /// ~`p²` smaller than flat.
+    Compressed,
+    /// [`RoutedTopology::lazy_compressed`]: router symmetric past both
+    /// limits — core rows per touched source router.
+    LazyCompressed,
+    /// [`RoutedTopology::lazy`]: past the dense limit with no usable
+    /// symmetry hint — flat rows per touched source.
+    Lazy,
+}
+
+impl StoragePlan {
+    /// Plan the route storage of `topo` from its size and symmetry hint.
+    pub fn of(topo: &dyn Topology) -> Self {
+        let n = topo.num_nodes();
+        if n.saturating_mul(n) <= DENSE_PAIR_LIMIT {
+            return StoragePlan::Dense;
+        }
+        match router_symmetry(topo) {
+            Some(p) if (n / p).saturating_mul(n / p) <= COMPRESSED_PAIR_LIMIT => {
+                StoragePlan::Compressed
+            }
+            Some(_) => StoragePlan::LazyCompressed,
+            None => StoragePlan::Lazy,
+        }
+    }
+}
+
+/// The `nodes_per_router` of a topology's [`SymmetryHint::RouterSymmetric`]
+/// hint, when it is usable: positive and dividing the node count.
+fn router_symmetry<T: Topology + ?Sized>(topo: &T) -> Option<usize> {
+    match topo.symmetry_hint() {
+        Some(SymmetryHint::RouterSymmetric {
+            nodes_per_router: p,
+        }) if p > 0 && topo.num_nodes().is_multiple_of(p) => Some(p),
+        _ => None,
+    }
+}
+
+/// Why the constructors that force compressed storage panic.
+const NEEDS_SYMMETRY: &str = "compressed route storage requires a router-symmetric topology";
+
+/// The CSR core of every route store: `width` entries per source, entry
+/// `(s, d)` being the link sequence `links[offsets[i] .. offsets[i + 1]]`
+/// at `i = s·width + d`. A table has `width` sources; a row has one.
 #[derive(Debug, Clone)]
-pub struct SourceRow {
+struct Csr {
+    width: usize,
     offsets: Vec<u32>,
     links: Vec<LinkId>,
 }
+
+impl Csr {
+    /// No entries yet, with offset room for `sources` rows.
+    fn with_rows(width: usize, sources: usize) -> Self {
+        let mut offsets = Vec::with_capacity(sources * width + 1);
+        offsets.push(0);
+        Csr {
+            width,
+            offsets,
+            links: Vec::new(),
+        }
+    }
+
+    /// Append one row: entry `d` holds what `fill(d, links)` appends.
+    ///
+    /// # Panics
+    /// Panics if the links outgrow `u32` offsets.
+    fn push_row(&mut self, mut fill: impl FnMut(usize, &mut Vec<LinkId>)) {
+        for d in 0..self.width {
+            fill(d, &mut self.links);
+            let end = u32::try_from(self.links.len()).expect("CSR links fit u32 offsets");
+            self.offsets.push(end);
+        }
+    }
+
+    /// The row builder: one source's row, built on this thread.
+    fn row(width: usize, fill: impl FnMut(usize, &mut Vec<LinkId>)) -> Self {
+        let mut csr = Csr::with_rows(width, 1);
+        csr.push_row(fill);
+        csr
+    }
+
+    /// The table builder: `width` sources, entry `(s, d)` holding what
+    /// `fill(s, d, links)` appends, built in parallel over sources and
+    /// concatenated in source order.
+    fn table(width: usize, fill: impl Fn(usize, usize, &mut Vec<LinkId>) + Sync) -> Self {
+        let sources: Vec<usize> = (0..width).collect();
+        // A handful of sources per chunk keeps all workers busy without
+        // drowning the (in-order, deterministic) concatenation in tiny
+        // intermediate vectors.
+        sources
+            .par_chunks((width / 64).max(1))
+            .map(|chunk| {
+                let mut csr = Csr::with_rows(width, chunk.len());
+                for &s in chunk {
+                    csr.push_row(|d, links| fill(s, d, links));
+                }
+                csr
+            })
+            .reduce(|| Csr::with_rows(width, width), Csr::append)
+    }
+
+    /// `self` followed by `tail`, whose offsets shift past `self`'s links.
+    ///
+    /// # Panics
+    /// Panics if the joined links outgrow `u32` offsets.
+    fn append(mut self, tail: Csr) -> Self {
+        let end =
+            u32::try_from(self.links.len() + tail.links.len()).expect("CSR links fit u32 offsets");
+        let base = end - tail.links.len() as u32;
+        self.offsets
+            .extend(tail.offsets[1..].iter().map(|&o| base + o));
+        self.links.extend_from_slice(&tail.links);
+        self
+    }
+
+    #[inline]
+    fn entry(&self, s: usize, d: usize) -> &[LinkId] {
+        let i = s * self.width + d;
+        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The length of entry `(s, d)`, read off the offsets alone.
+    #[inline]
+    fn entry_len(&self, s: usize, d: usize) -> u32 {
+        let i = s * self.width + d;
+        self.offsets[i + 1] - self.offsets[i]
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.links.len() * std::mem::size_of::<LinkId>()
+    }
+
+    /// The writer of both table codecs, all little-endian: the `header`
+    /// words (u64), the offsets (u32), the link ids (u32).
+    fn to_bytes(&self, header: &[u64]) -> Vec<u8> {
+        let mut out =
+            Vec::with_capacity(8 * header.len() + 4 * (self.offsets.len() + self.links.len()));
+        for word in header {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        for &o in &self.offsets {
+            out.extend_from_slice(&o.to_le_bytes());
+        }
+        for &l in &self.links {
+            out.extend_from_slice(&l.0.to_le_bytes());
+        }
+        out
+    }
+
+    /// The validating reader of both table codecs. It splits off `N`
+    /// header words and lets `geometry` check them and name the table's
+    /// width. The rest must be exactly `width² + 1` offsets that start at
+    /// zero, never decrease and end at the number of link ids that follow.
+    /// Any violation is an `Err`, never a panic; allocations are sized
+    /// from the input length, never from decoded counts.
+    fn from_bytes<const N: usize, G>(
+        bytes: &[u8],
+        geometry: impl FnOnce([u64; N]) -> Result<(G, usize), String>,
+    ) -> Result<(G, Csr), String> {
+        let (head, body) = bytes
+            .split_at_checked(8 * N)
+            .ok_or_else(|| format!("route table blob truncated at {} bytes", bytes.len()))?;
+        let (geometry, width) = geometry(std::array::from_fn(|i| {
+            u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+        }))?;
+        let (offset_bytes, link_bytes) = width
+            .checked_mul(width)
+            .and_then(|entries| entries.checked_add(1))
+            .and_then(|offsets| offsets.checked_mul(4))
+            .filter(|_| body.len().is_multiple_of(4))
+            .and_then(|len| body.split_at_checked(len))
+            .ok_or_else(|| format!("{}-byte body is no width-{width} table", body.len()))?;
+        let offsets: Vec<u32> = u32_words(offset_bytes).collect();
+        let num_links = link_bytes.len() / 4;
+        if offsets[0] != 0
+            || offsets.windows(2).any(|w| w[1] < w[0])
+            || offsets[offsets.len() - 1] as usize != num_links
+        {
+            return Err(format!(
+                "offsets do not rise from 0 to the {num_links} stored link ids"
+            ));
+        }
+        let links = u32_words(link_bytes).map(LinkId).collect();
+        Ok((
+            geometry,
+            Csr {
+                width,
+                offsets,
+                links,
+            },
+        ))
+    }
+}
+
+/// The little-endian `u32` words of `bytes` (whose length is a multiple
+/// of 4).
+fn u32_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word")))
+}
+
+/// CSR routes from one source node to every destination of a topology.
+///
+/// The lazy building block of the replay engine: `route(src, d)` is the
+/// row's entry `d`.
+#[derive(Debug, Clone)]
+pub struct SourceRow(Csr);
 
 impl SourceRow {
     /// Materialize all routes out of `src`.
@@ -92,33 +311,27 @@ impl SourceRow {
     /// Panics if the row holds more than `u32::MAX` link ids (impossible
     /// for any topology whose diameter × node count fits in 32 bits).
     pub fn build<T: Topology + ?Sized>(topo: &T, src: NodeId) -> Self {
-        let n = topo.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut links = Vec::new();
-        offsets.push(0);
-        for d in 0..n {
-            topo.route_into(src, NodeId(d as u32), &mut links);
-            offsets.push(u32::try_from(links.len()).expect("row links fit u32"));
-        }
-        SourceRow { offsets, links }
+        SourceRow(Csr::row(topo.num_nodes(), |d, links| {
+            topo.route_into(src, NodeId(d as u32), links)
+        }))
     }
 
     /// The precomputed route to `dst` as a link slice.
     #[inline]
     pub fn route_of(&self, dst: NodeId) -> &[LinkId] {
-        &self.links[self.offsets[dst.idx()] as usize..self.offsets[dst.idx() + 1] as usize]
+        self.0.entry(0, dst.idx())
     }
 
     /// Hop count to `dst` (CSR row-length difference; no route walk).
     #[inline]
     pub fn hops(&self, dst: NodeId) -> u32 {
-        self.offsets[dst.idx() + 1] - self.offsets[dst.idx()]
+        self.0.entry_len(0, dst.idx())
     }
 
     /// Number of destinations (= nodes of the topology).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.0.width
     }
 }
 
@@ -130,9 +343,8 @@ impl SourceRow {
 /// whole verification corpus.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    n: usize,
-    offsets: Vec<u32>,
-    links: Vec<LinkId>,
+    /// `n` wide: `route(s, d)` is entry `(s, d)`.
+    csr: Csr,
 }
 
 impl RouteTable {
@@ -142,76 +354,39 @@ impl RouteTable {
     /// Panics if the table would hold more than `u32::MAX` link ids; use
     /// the lazy mode of [`RoutedTopology`] for machines that large.
     pub fn build<T: Topology + ?Sized>(topo: &T) -> Self {
-        let n = topo.num_nodes();
-        let sources: Vec<u32> = (0..n as u32).collect();
-        // A handful of sources per chunk keeps all workers busy without
-        // drowning the (in-order, deterministic) concatenation in tiny
-        // intermediate vectors.
-        let chunk = (n / 64).max(1);
-        let (row_lens, links) = sources
-            .par_chunks(chunk)
-            .map(|srcs| {
-                let mut lens: Vec<u32> = Vec::with_capacity(srcs.len() * n);
-                let mut links: Vec<LinkId> = Vec::new();
-                for &s in srcs {
-                    let mut prev = links.len();
-                    for d in 0..n {
-                        topo.route_into(NodeId(s), NodeId(d as u32), &mut links);
-                        lens.push((links.len() - prev) as u32);
-                        prev = links.len();
-                    }
-                }
-                (lens, links)
-            })
-            .reduce(
-                || (Vec::new(), Vec::new()),
-                |mut a, mut b| {
-                    a.0.append(&mut b.0);
-                    a.1.append(&mut b.1);
-                    a
-                },
-            );
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0u32);
-        let mut acc = 0u64;
-        for &len in &row_lens {
-            acc += u64::from(len);
-            offsets.push(u32::try_from(acc).expect("dense CSR links fit u32"));
-        }
-        debug_assert_eq!(acc as usize, links.len());
-        RouteTable { n, offsets, links }
+        let csr = Csr::table(topo.num_nodes(), |s, d, links| {
+            topo.route_into(NodeId(s as u32), NodeId(d as u32), links)
+        });
+        RouteTable { csr }
     }
 
     /// Number of nodes the table covers.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.csr.width
     }
 
     /// The precomputed route as a link slice.
     #[inline]
     pub fn route_of(&self, src: NodeId, dst: NodeId) -> &[LinkId] {
-        let i = src.idx() * self.n + dst.idx();
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        self.csr.entry(src.idx(), dst.idx())
     }
 
     /// Hop count of a pair (CSR offset difference; no route walk).
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
-        let i = src.idx() * self.n + dst.idx();
-        self.offsets[i + 1] - self.offsets[i]
+        self.csr.entry_len(src.idx(), dst.idx())
     }
 
     /// Total link ids stored (Σ hops over all ordered pairs).
     #[inline]
     pub fn total_route_links(&self) -> usize {
-        self.links.len()
+        self.csr.links.len()
     }
 
     /// Exact heap footprint of the CSR arrays in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u32>()
-            + self.links.len() * std::mem::size_of::<LinkId>()
+        self.csr.memory_bytes()
     }
 
     /// Serialize the table as little-endian bytes:
@@ -224,15 +399,7 @@ impl RouteTable {
     ///
     /// [`from_bytes`]: RouteTable::from_bytes
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 * (self.offsets.len() + self.links.len()));
-        out.extend_from_slice(&(self.n as u64).to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &l in &self.links {
-            out.extend_from_slice(&l.0.to_le_bytes());
-        }
-        out
+        self.csr.to_bytes(&[self.num_nodes() as u64])
     }
 
     /// Decode a table serialized by [`to_bytes`](RouteTable::to_bytes),
@@ -241,51 +408,13 @@ impl RouteTable {
     /// monotone, and end at the link count. Any violation — truncation,
     /// bit flips that survive the caller's checksum, a table written by a
     /// different machine size — is a clean `Err`, never a panic and never
-    /// an oversized allocation (capacity is derived from the *actual*
-    /// input length, not from decoded counts).
+    /// an oversized allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let header = bytes
-            .get(..8)
-            .ok_or_else(|| format!("route table blob truncated at {} bytes", bytes.len()))?;
-        let n64 = u64::from_le_bytes(header.try_into().expect("8-byte slice"));
-        let n = usize::try_from(n64).map_err(|_| format!("node count {n64} overflows usize"))?;
-        let pairs = n
-            .checked_mul(n)
-            .and_then(|p| p.checked_add(1))
-            .ok_or_else(|| format!("node count {n} overflows the pair space"))?;
-        let rest = &bytes[8..];
-        if rest.len() < pairs * 4 || !rest.len().is_multiple_of(4) {
-            return Err(format!(
-                "route table blob holds {} bytes after the header; {n} nodes need at least {} and a multiple of 4",
-                rest.len(),
-                pairs * 4
-            ));
-        }
-        let (offset_bytes, link_bytes) = rest.split_at(pairs * 4);
-        let word = |b: &[u8], i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
-        let mut offsets = Vec::with_capacity(pairs);
-        let mut prev = 0u32;
-        for i in 0..pairs {
-            let o = word(offset_bytes, i);
-            if i == 0 && o != 0 {
-                return Err(format!("first offset is {o}, not 0"));
-            }
-            if o < prev {
-                return Err(format!("offsets not monotone at pair {i}: {o} < {prev}"));
-            }
-            offsets.push(o);
-            prev = o;
-        }
-        let num_links = link_bytes.len() / 4;
-        if prev as usize != num_links {
-            return Err(format!(
-                "final offset {prev} does not match the {num_links} stored link ids"
-            ));
-        }
-        let links = (0..num_links)
-            .map(|i| LinkId(word(link_bytes, i)))
-            .collect();
-        Ok(RouteTable { n, offsets, links })
+        let ((), csr) = Csr::from_bytes(bytes, |[n]| {
+            let n = usize::try_from(n).map_err(|_| format!("node count {n} overflows usize"))?;
+            Ok(((), n))
+        })?;
+        Ok(RouteTable { csr })
     }
 }
 
@@ -295,24 +424,6 @@ impl RouteTable {
 /// check instead of decoding garbage — and vice versa, flat blobs (whose
 /// first word is a real node count) never match the magic.
 const COMPRESSED_MAGIC: u64 = u64::from_le_bytes(*b"NLOC-CRT");
-
-/// The `nodes_per_router` of a topology's [`SymmetryHint::RouterSymmetric`]
-/// hint, validated against its node count.
-///
-/// # Panics
-/// Panics if the topology reports no (usable) router symmetry.
-fn router_symmetry<T: Topology + ?Sized>(topo: &T) -> usize {
-    match topo.symmetry_hint() {
-        Some(SymmetryHint::RouterSymmetric {
-            nodes_per_router: p,
-        }) if p > 0 && topo.num_nodes().is_multiple_of(p) => p,
-        _ => panic!(
-            "compressed route storage requires a router-symmetric topology, \
-             but {} reports no usable symmetry hint",
-            topo.name()
-        ),
-    }
-}
 
 /// Append the router-to-router core of the `rs → rd` route: the full route
 /// between representative nodes with the two terminal hops stripped.
@@ -344,18 +455,46 @@ fn core_into<T: Topology + ?Sized>(
     out.remove(start);
 }
 
-/// Per-source-router core rows for [`RoutedTopology::lazy_compressed`]: a
-/// [`SourceRow`] whose "destinations" are router ids and whose entries are
-/// route cores.
-fn core_row<T: Topology + ?Sized>(topo: &T, p: usize, routers: usize, rs: usize) -> SourceRow {
-    let mut offsets = Vec::with_capacity(routers + 1);
-    let mut links = Vec::new();
-    offsets.push(0);
-    for rd in 0..routers {
-        core_into(topo, p, rs, rd, &mut links);
-        offsets.push(u32::try_from(links.len()).expect("core row links fit u32"));
+/// The terminal expansion of every compressed store: with `p` nodes per
+/// router, a route is `[terminal(src)] ++ core(src/p, dst/p) ++
+/// [terminal(dst)]` with terminal link ids equal to node ids. Nodes on one
+/// router share an empty core, and a node routes to itself over nothing.
+/// Clears `scratch`, expands the route into it and returns it.
+#[inline]
+fn terminal_route<'s, 'c>(
+    p: usize,
+    src: NodeId,
+    dst: NodeId,
+    scratch: &'s mut Vec<LinkId>,
+    core: impl FnOnce(usize, usize) -> &'c [LinkId],
+) -> &'s [LinkId] {
+    scratch.clear();
+    if src != dst {
+        scratch.push(LinkId(src.0));
+        let (rs, rd) = (src.idx() / p, dst.idx() / p);
+        if rs != rd {
+            scratch.extend_from_slice(core(rs, rd));
+        }
+        scratch.push(LinkId(dst.0));
     }
-    SourceRow { offsets, links }
+    scratch
+}
+
+/// Hop count of the route [`terminal_route`] expands, without expanding
+/// it: two terminal hops plus the core's length.
+#[inline]
+fn terminal_hops<'c>(
+    p: usize,
+    src: NodeId,
+    dst: NodeId,
+    core: impl FnOnce(usize, usize) -> &'c [LinkId],
+) -> u32 {
+    let (rs, rd) = (src.idx() / p, dst.idx() / p);
+    match (src == dst, rs == rd) {
+        (true, _) => 0,
+        (false, true) => 2,
+        (false, false) => 2 + core(rs, rd).len() as u32,
+    }
 }
 
 /// Compressed hierarchical route table for router-symmetric topologies.
@@ -376,13 +515,9 @@ fn core_row<T: Topology + ?Sized>(topo: &T, p: usize, routers: usize, rs: usize)
 /// ~150 MiB compressed versus ~42 GiB flat.
 #[derive(Debug, Clone)]
 pub struct CompressedRouteTable {
-    nodes: usize,
     nodes_per_router: usize,
-    routers: usize,
-    /// `R² + 1` entries; `core(rs, rd) = links[offsets[rs·R + rd] ..
-    /// offsets[rs·R + rd + 1]]`.
-    offsets: Vec<u32>,
-    links: Vec<LinkId>,
+    /// `R` wide: `core(rs, rd)` is entry `(rs, rd)`.
+    csr: Csr,
 }
 
 impl CompressedRouteTable {
@@ -394,55 +529,20 @@ impl CompressedRouteTable {
     /// [`SymmetryHint::RouterSymmetric`] hint, if a route violates the
     /// hint's factorization, or if the core CSR overflows `u32` ids.
     pub fn build<T: Topology + ?Sized>(topo: &T) -> Self {
-        let p = router_symmetry(topo);
-        let nodes = topo.num_nodes();
-        let routers = nodes / p;
-        let sources: Vec<u32> = (0..routers as u32).collect();
-        let chunk = (routers / 64).max(1);
-        let (row_lens, links) = sources
-            .par_chunks(chunk)
-            .map(|srcs| {
-                let mut lens: Vec<u32> = Vec::with_capacity(srcs.len() * routers);
-                let mut links: Vec<LinkId> = Vec::new();
-                for &rs in srcs {
-                    let mut prev = links.len();
-                    for rd in 0..routers {
-                        core_into(topo, p, rs as usize, rd, &mut links);
-                        lens.push((links.len() - prev) as u32);
-                        prev = links.len();
-                    }
-                }
-                (lens, links)
-            })
-            .reduce(
-                || (Vec::new(), Vec::new()),
-                |mut a, mut b| {
-                    a.0.append(&mut b.0);
-                    a.1.append(&mut b.1);
-                    a
-                },
-            );
-        let mut offsets = Vec::with_capacity(routers * routers + 1);
-        offsets.push(0u32);
-        let mut acc = 0u64;
-        for &len in &row_lens {
-            acc += u64::from(len);
-            offsets.push(u32::try_from(acc).expect("compressed CSR links fit u32"));
-        }
-        debug_assert_eq!(acc as usize, links.len());
+        let p = router_symmetry(topo).expect(NEEDS_SYMMETRY);
+        let csr = Csr::table(topo.num_nodes() / p, |rs, rd, links| {
+            core_into(topo, p, rs, rd, links)
+        });
         CompressedRouteTable {
-            nodes,
             nodes_per_router: p,
-            routers,
-            offsets,
-            links,
+            csr,
         }
     }
 
     /// Number of nodes the table covers.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.nodes
+        self.csr.width * self.nodes_per_router
     }
 
     /// Nodes attached to each router.
@@ -454,15 +554,14 @@ impl CompressedRouteTable {
     /// Number of routers (`nodes / nodes_per_router`).
     #[inline]
     pub fn num_routers(&self) -> usize {
-        self.routers
+        self.csr.width
     }
 
     /// The stored router-to-router core of a router pair (empty when
     /// `rs == rd`).
     #[inline]
     pub fn core_of(&self, rs: usize, rd: usize) -> &[LinkId] {
-        let i = rs * self.routers + rd;
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        self.csr.entry(rs, rd)
     }
 
     /// Expand the route of a node pair into `scratch` (cleared first) and
@@ -474,50 +573,29 @@ impl CompressedRouteTable {
         dst: NodeId,
         scratch: &'s mut Vec<LinkId>,
     ) -> &'s [LinkId] {
-        scratch.clear();
-        if src == dst {
-            return scratch;
-        }
-        scratch.push(LinkId(src.0));
-        let (rs, rd) = (
-            src.idx() / self.nodes_per_router,
-            dst.idx() / self.nodes_per_router,
-        );
-        if rs != rd {
-            scratch.extend_from_slice(self.core_of(rs, rd));
-        }
-        scratch.push(LinkId(dst.0));
-        scratch
+        terminal_route(self.nodes_per_router, src, dst, scratch, |rs, rd| {
+            self.core_of(rs, rd)
+        })
     }
 
     /// Hop count of a node pair (two terminals plus the core's CSR offset
     /// difference; no route expansion).
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
-        if src == dst {
-            return 0;
-        }
-        let (rs, rd) = (
-            src.idx() / self.nodes_per_router,
-            dst.idx() / self.nodes_per_router,
-        );
-        if rs == rd {
-            return 2;
-        }
-        let i = rs * self.routers + rd;
-        2 + (self.offsets[i + 1] - self.offsets[i])
+        terminal_hops(self.nodes_per_router, src, dst, |rs, rd| {
+            self.core_of(rs, rd)
+        })
     }
 
     /// Total core link ids stored (Σ core length over ordered router pairs).
     #[inline]
     pub fn total_core_links(&self) -> usize {
-        self.links.len()
+        self.csr.links.len()
     }
 
     /// Exact heap footprint of the compressed CSR arrays in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u32>()
-            + self.links.len() * std::mem::size_of::<LinkId>()
+        self.csr.memory_bytes()
     }
 
     /// Exact size a dense flat-CSR [`RouteTable`] of the same routes would
@@ -526,9 +604,9 @@ impl CompressedRouteTable {
     /// Computed in `u128`; at the scales this table exists for, the flat
     /// projection does not fit in memory (or in a `usize` product chain).
     pub fn flat_projection_bytes(&self) -> u128 {
-        let n = self.nodes as u128;
+        let n = self.num_nodes() as u128;
         let p = self.nodes_per_router as u128;
-        let flat_links = 2 * n * (n - 1) + p * p * self.links.len() as u128;
+        let flat_links = 2 * n * (n - 1) + p * p * self.total_core_links() as u128;
         4 * (n * n + 1) + 4 * flat_links
     }
 
@@ -537,34 +615,33 @@ impl CompressedRouteTable {
     /// equivalent ([`crate::DistanceMatrix::mean_distance`]) needs O(n²).
     pub fn mean_node_distance(&self) -> f64 {
         let (n, p, r) = (
-            self.nodes as u128,
+            self.num_nodes() as u128,
             self.nodes_per_router as u128,
-            self.routers as u128,
+            self.num_routers() as u128,
         );
         if n < 2 {
             return 0.0;
         }
         // Same-router pairs: 2 hops each. Cross-router pairs: 2 + core.
         let total =
-            2 * r * p * (p - 1) + 2 * p * p * r * (r - 1) + p * p * self.links.len() as u128;
+            2 * r * p * (p - 1) + 2 * p * p * r * (r - 1) + p * p * self.total_core_links() as u128;
         total as f64 / (n * (n - 1)) as f64
     }
 
     /// Exact node-level diameter from the stored cores.
     pub fn node_diameter(&self) -> u32 {
-        if self.nodes < 2 {
+        if self.num_nodes() < 2 {
             return 0;
         }
         let max_core = self
+            .csr
             .offsets
             .windows(2)
             .map(|w| w[1] - w[0])
             .max()
             .unwrap_or(0);
-        if max_core == 0 {
-            // Single router (or complete overlap): farthest pair shares it.
-            return 2;
-        }
+        // With no core at all (a single router), the farthest pair shares
+        // a router: two terminal hops.
         2 + max_core
     }
 
@@ -575,17 +652,11 @@ impl CompressedRouteTable {
     /// store frames it. The magic keeps flat and compressed blobs from
     /// ever decoding as each other.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + 4 * (self.offsets.len() + self.links.len()));
-        out.extend_from_slice(&COMPRESSED_MAGIC.to_le_bytes());
-        out.extend_from_slice(&(self.nodes as u64).to_le_bytes());
-        out.extend_from_slice(&(self.nodes_per_router as u64).to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &l in &self.links {
-            out.extend_from_slice(&l.0.to_le_bytes());
-        }
-        out
+        self.csr.to_bytes(&[
+            COMPRESSED_MAGIC,
+            self.num_nodes() as u64,
+            self.nodes_per_router as u64,
+        ])
     }
 
     /// Decode a table serialized by
@@ -593,95 +664,40 @@ impl CompressedRouteTable {
     /// and every structural invariant exactly as
     /// [`RouteTable::from_bytes`] does; any violation is a clean `Err`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let header = bytes.get(..24).ok_or_else(|| {
-            format!(
-                "compressed route table blob truncated at {} bytes",
-                bytes.len()
-            )
+        let (nodes_per_router, csr) = Csr::from_bytes(bytes, |[magic, nodes, p]| {
+            match (magic, usize::try_from(nodes), usize::try_from(p)) {
+                (COMPRESSED_MAGIC, Ok(nodes), Ok(p))
+                    if p > 0 && nodes > 0 && nodes.is_multiple_of(p) =>
+                {
+                    Ok((p, nodes / p))
+                }
+                _ => Err(format!(
+                    "not a compressed route table: magic {magic:#x}, {nodes} nodes across \
+                     routers of {p}"
+                )),
+            }
         })?;
-        let word64 = |i: usize| u64::from_le_bytes(header[8 * i..8 * i + 8].try_into().unwrap());
-        if word64(0) != COMPRESSED_MAGIC {
-            return Err("not a compressed route table (magic mismatch)".into());
-        }
-        let nodes = usize::try_from(word64(1))
-            .map_err(|_| format!("node count {} overflows usize", word64(1)))?;
-        let p = usize::try_from(word64(2))
-            .map_err(|_| format!("nodes/router {} overflows usize", word64(2)))?;
-        if p == 0 || nodes == 0 || !nodes.is_multiple_of(p) {
-            return Err(format!(
-                "invalid geometry: {nodes} nodes across routers of {p}"
-            ));
-        }
-        let routers = nodes / p;
-        let pairs = routers
-            .checked_mul(routers)
-            .and_then(|v| v.checked_add(1))
-            .ok_or_else(|| format!("router count {routers} overflows the pair space"))?;
-        let rest = &bytes[24..];
-        if rest.len() < pairs * 4 || !rest.len().is_multiple_of(4) {
-            return Err(format!(
-                "compressed blob holds {} bytes after the header; {routers} routers need at least {} and a multiple of 4",
-                rest.len(),
-                pairs * 4
-            ));
-        }
-        let (offset_bytes, link_bytes) = rest.split_at(pairs * 4);
-        let word = |b: &[u8], i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
-        let mut offsets = Vec::with_capacity(pairs);
-        let mut prev = 0u32;
-        for i in 0..pairs {
-            let o = word(offset_bytes, i);
-            if i == 0 && o != 0 {
-                return Err(format!("first offset is {o}, not 0"));
-            }
-            if o < prev {
-                return Err(format!("offsets not monotone at pair {i}: {o} < {prev}"));
-            }
-            offsets.push(o);
-            prev = o;
-        }
-        let num_links = link_bytes.len() / 4;
-        if prev as usize != num_links {
-            return Err(format!(
-                "final offset {prev} does not match the {num_links} stored link ids"
-            ));
-        }
-        let links = (0..num_links)
-            .map(|i| LinkId(word(link_bytes, i)))
-            .collect();
         Ok(CompressedRouteTable {
-            nodes,
-            nodes_per_router: p,
-            routers,
-            offsets,
-            links,
+            nodes_per_router,
+            csr,
         })
     }
 }
 
-/// Route storage of a [`RoutedTopology`].
+/// Route storage of a [`RoutedTopology`]. Tables sit behind an [`Arc`] so
+/// many handles (e.g. the analysis service's concurrent requests against
+/// one topology) replay over one copy.
 enum Storage {
-    /// Full dense CSR table, owned by this handle.
-    Dense(RouteTable),
-    /// Full dense CSR table shared with other handles (e.g. the analysis
-    /// service's per-topology cache, where every concurrent request
-    /// against the same topology spec reads one table).
-    Shared(Arc<RouteTable>),
-    /// Compressed router-pair core table, owned by this handle.
-    Compressed(CompressedRouteTable),
-    /// Compressed table shared with other handles.
-    SharedCompressed(Arc<CompressedRouteTable>),
+    /// Full dense CSR table.
+    Dense(Arc<RouteTable>),
+    /// Compressed router-pair core table.
+    Compressed(Arc<CompressedRouteTable>),
     /// Per-source CSR rows, built on first touch (thread-safe).
     Lazy(Vec<OnceLock<SourceRow>>),
-    /// Per-source-*router* core rows, built on first touch — the
-    /// compressed analogue of `Lazy` for router-symmetric machines past
-    /// [`COMPRESSED_PAIR_LIMIT`].
-    LazyCompressed {
-        /// Nodes attached to each router.
-        nodes_per_router: usize,
-        /// One core row per source router.
-        rows: Vec<OnceLock<SourceRow>>,
-    },
+    /// Nodes per router and one core row per source router, each built
+    /// on first touch — the compressed analogue of `Lazy` for
+    /// router-symmetric machines past [`COMPRESSED_PAIR_LIMIT`].
+    LazyCompressed(usize, Vec<OnceLock<Csr>>),
     /// No caching: every lookup routes into the caller's scratch buffer.
     Direct,
 }
@@ -689,7 +705,7 @@ enum Storage {
 /// A topology bundled with precomputed (or on-demand) routes — the handle
 /// the replay engine and the mapping optimizers consume.
 ///
-/// All three modes answer [`route_of`](RoutedTopology::route_of) and
+/// All modes answer [`route_of`](RoutedTopology::route_of) and
 /// [`hops`](RoutedTopology::hops) with identical values; they only trade
 /// memory for lookup cost:
 ///
@@ -707,6 +723,9 @@ enum Storage {
 ///   [`COMPRESSED_PAIR_LIMIT`].
 /// * [`direct`](RoutedTopology::direct) — no caching; lookups route into
 ///   a caller-provided scratch buffer. Best for one-shot replays.
+///
+/// [`auto`](RoutedTopology::auto) picks among the first four by the
+/// [`StoragePlan`].
 pub struct RoutedTopology<'a> {
     topo: &'a dyn Topology,
     storage: Storage,
@@ -715,26 +734,7 @@ pub struct RoutedTopology<'a> {
 impl<'a> RoutedTopology<'a> {
     /// Precompute the full dense table up front.
     pub fn dense(topo: &'a dyn Topology) -> Self {
-        RoutedTopology {
-            storage: Storage::Dense(RouteTable::build(topo)),
-            topo,
-        }
-    }
-
-    /// Wrap an already-built table (e.g. from [`Topology::route_table`]).
-    ///
-    /// # Panics
-    /// Panics if the table's node count does not match the topology's.
-    pub fn with_table(topo: &'a dyn Topology, table: RouteTable) -> Self {
-        assert_eq!(
-            table.num_nodes(),
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology {
-            storage: Storage::Dense(table),
-            topo,
-        }
+        Self::with_shared_table(topo, Arc::new(RouteTable::build(topo)))
     }
 
     /// Borrow an already-built table behind an [`Arc`] without cloning its
@@ -744,15 +744,7 @@ impl<'a> RoutedTopology<'a> {
     /// # Panics
     /// Panics if the table's node count does not match the topology's.
     pub fn with_shared_table(topo: &'a dyn Topology, table: Arc<RouteTable>) -> Self {
-        assert_eq!(
-            table.num_nodes(),
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology {
-            storage: Storage::Shared(table),
-            topo,
-        }
+        Self::over_table(topo, table.num_nodes(), Storage::Dense(table))
     }
 
     /// Build per-source rows lazily, on first touch of each source.
@@ -770,26 +762,7 @@ impl<'a> RoutedTopology<'a> {
     /// Panics if the topology reports no usable
     /// [`SymmetryHint::RouterSymmetric`] hint.
     pub fn compressed(topo: &'a dyn Topology) -> Self {
-        RoutedTopology {
-            storage: Storage::Compressed(CompressedRouteTable::build(topo)),
-            topo,
-        }
-    }
-
-    /// Wrap an already-built compressed table.
-    ///
-    /// # Panics
-    /// Panics if the table's node count does not match the topology's.
-    pub fn with_compressed_table(topo: &'a dyn Topology, table: CompressedRouteTable) -> Self {
-        assert_eq!(
-            table.num_nodes(),
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology {
-            storage: Storage::Compressed(table),
-            topo,
-        }
+        Self::with_shared_compressed(topo, Arc::new(CompressedRouteTable::build(topo)))
     }
 
     /// Borrow an already-built compressed table behind an [`Arc`] — the
@@ -802,15 +775,7 @@ impl<'a> RoutedTopology<'a> {
         topo: &'a dyn Topology,
         table: Arc<CompressedRouteTable>,
     ) -> Self {
-        assert_eq!(
-            table.num_nodes(),
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology {
-            storage: Storage::SharedCompressed(table),
-            topo,
-        }
+        Self::over_table(topo, table.num_nodes(), Storage::Compressed(table))
     }
 
     /// Build per-source-router core rows lazily, on first touch of each
@@ -820,13 +785,10 @@ impl<'a> RoutedTopology<'a> {
     /// Panics if the topology reports no usable
     /// [`SymmetryHint::RouterSymmetric`] hint.
     pub fn lazy_compressed(topo: &'a dyn Topology) -> Self {
-        let p = router_symmetry(topo);
+        let p = router_symmetry(topo).expect(NEEDS_SYMMETRY);
         let rows = (0..topo.num_nodes() / p).map(|_| OnceLock::new()).collect();
         RoutedTopology {
-            storage: Storage::LazyCompressed {
-                nodes_per_router: p,
-                rows,
-            },
+            storage: Storage::LazyCompressed(p, rows),
             topo,
         }
     }
@@ -839,30 +801,31 @@ impl<'a> RoutedTopology<'a> {
         }
     }
 
-    /// Pick storage automatically: dense up to [`DENSE_PAIR_LIMIT`] node
-    /// pairs; above that, compressed storage when the topology advertises
-    /// router symmetry (full table up to [`COMPRESSED_PAIR_LIMIT`] router
-    /// pairs, lazy core rows beyond); lazy flat rows otherwise. See the
-    /// constants' docs for the rationale.
+    /// Pick storage by the [`StoragePlan`]: dense up to
+    /// [`DENSE_PAIR_LIMIT`] node pairs; above that, compressed storage when
+    /// the topology advertises router symmetry (full table up to
+    /// [`COMPRESSED_PAIR_LIMIT`] router pairs, lazy core rows beyond); lazy
+    /// flat rows otherwise.
     pub fn auto(topo: &'a dyn Topology) -> Self {
-        let n = topo.num_nodes();
-        if n.saturating_mul(n) <= DENSE_PAIR_LIMIT {
-            return Self::dense(topo);
+        match StoragePlan::of(topo) {
+            StoragePlan::Dense => Self::dense(topo),
+            StoragePlan::Compressed => Self::compressed(topo),
+            StoragePlan::LazyCompressed => Self::lazy_compressed(topo),
+            StoragePlan::Lazy => Self::lazy(topo),
         }
-        if let Some(SymmetryHint::RouterSymmetric {
-            nodes_per_router: p,
-        }) = topo.symmetry_hint()
-        {
-            if p > 0 && n.is_multiple_of(p) {
-                let r = n / p;
-                return if r.saturating_mul(r) <= COMPRESSED_PAIR_LIMIT {
-                    Self::compressed(topo)
-                } else {
-                    Self::lazy_compressed(topo)
-                };
-            }
-        }
-        Self::lazy(topo)
+    }
+
+    /// A handle over a table of `nodes` nodes.
+    ///
+    /// # Panics
+    /// Panics if `nodes` does not match the topology's node count.
+    fn over_table(topo: &'a dyn Topology, nodes: usize, storage: Storage) -> Self {
+        assert_eq!(
+            nodes,
+            topo.num_nodes(),
+            "route table built for a different machine size"
+        );
+        RoutedTopology { topo, storage }
     }
 
     /// The wrapped topology.
@@ -881,7 +844,6 @@ impl<'a> RoutedTopology<'a> {
     pub fn table(&self) -> Option<&RouteTable> {
         match &self.storage {
             Storage::Dense(t) => Some(t),
-            Storage::Shared(t) => Some(t),
             _ => None,
         }
     }
@@ -890,7 +852,6 @@ impl<'a> RoutedTopology<'a> {
     pub fn compressed_table(&self) -> Option<&CompressedRouteTable> {
         match &self.storage {
             Storage::Compressed(t) => Some(t),
-            Storage::SharedCompressed(t) => Some(t),
             _ => None,
         }
     }
@@ -898,6 +859,19 @@ impl<'a> RoutedTopology<'a> {
     /// Whether lookups are served from precomputed CSR storage.
     pub fn is_precomputed(&self) -> bool {
         !matches!(self.storage, Storage::Direct)
+    }
+
+    /// The core `rs → rd` from lazily built core rows.
+    fn lazy_core<'r>(
+        &self,
+        p: usize,
+        rows: &'r [OnceLock<Csr>],
+        rs: usize,
+        rd: usize,
+    ) -> &'r [LinkId] {
+        rows[rs]
+            .get_or_init(|| Csr::row(rows.len(), |d, links| core_into(self.topo, p, rs, d, links)))
+            .entry(0, rd)
     }
 
     /// The route of a pair. Dense and lazy modes return a slice into CSR
@@ -914,30 +888,13 @@ impl<'a> RoutedTopology<'a> {
     ) -> &'s [LinkId] {
         match &self.storage {
             Storage::Dense(table) => table.route_of(src, dst),
-            Storage::Shared(table) => table.route_of(src, dst),
             Storage::Compressed(table) => table.route_of(src, dst, scratch),
-            Storage::SharedCompressed(table) => table.route_of(src, dst, scratch),
             Storage::Lazy(rows) => rows[src.idx()]
                 .get_or_init(|| SourceRow::build(self.topo, src))
                 .route_of(dst),
-            Storage::LazyCompressed {
-                nodes_per_router,
-                rows,
-            } => {
-                scratch.clear();
-                if src == dst {
-                    return scratch;
-                }
-                scratch.push(LinkId(src.0));
-                let (rs, rd) = (src.idx() / nodes_per_router, dst.idx() / nodes_per_router);
-                if rs != rd {
-                    let row = rows[rs]
-                        .get_or_init(|| core_row(self.topo, *nodes_per_router, rows.len(), rs));
-                    scratch.extend_from_slice(row.route_of(NodeId(rd as u32)));
-                }
-                scratch.push(LinkId(dst.0));
-                scratch
-            }
+            Storage::LazyCompressed(p, rows) => terminal_route(*p, src, dst, scratch, |rs, rd| {
+                self.lazy_core(*p, rows, rs, rd)
+            }),
             Storage::Direct => {
                 scratch.clear();
                 self.topo.route_into(src, dst, scratch);
@@ -953,26 +910,12 @@ impl<'a> RoutedTopology<'a> {
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
         match &self.storage {
             Storage::Dense(table) => table.hops(src, dst),
-            Storage::Shared(table) => table.hops(src, dst),
             Storage::Compressed(table) => table.hops(src, dst),
-            Storage::SharedCompressed(table) => table.hops(src, dst),
             Storage::Lazy(rows) => rows[src.idx()]
                 .get_or_init(|| SourceRow::build(self.topo, src))
                 .hops(dst),
-            Storage::LazyCompressed {
-                nodes_per_router,
-                rows,
-            } => {
-                if src == dst {
-                    return 0;
-                }
-                let (rs, rd) = (src.idx() / nodes_per_router, dst.idx() / nodes_per_router);
-                if rs == rd {
-                    return 2;
-                }
-                2 + rows[rs]
-                    .get_or_init(|| core_row(self.topo, *nodes_per_router, rows.len(), rs))
-                    .hops(NodeId(rd as u32))
+            Storage::LazyCompressed(p, rows) => {
+                terminal_hops(*p, src, dst, |rs, rd| self.lazy_core(*p, rows, rs, rd))
             }
             Storage::Direct => self.topo.hops(src, dst),
         }
@@ -995,7 +938,7 @@ mod tests {
     #[test]
     fn dense_table_matches_route_into_everywhere() {
         for topo in all_topos() {
-            let table = topo.route_table();
+            let table = RouteTable::build(topo.as_ref());
             let n = topo.num_nodes();
             let mut buf = Vec::new();
             for s in 0..n {
@@ -1069,6 +1012,7 @@ mod tests {
     #[test]
     fn auto_picks_dense_for_small_machines() {
         let small = Torus3D::new([4, 4, 4]);
+        assert_eq!(StoragePlan::of(&small), StoragePlan::Dense);
         assert!(RoutedTopology::auto(&small).table().is_some());
         assert!(RoutedTopology::auto(&small).is_precomputed());
         assert!(!RoutedTopology::direct(&small).is_precomputed());
@@ -1107,15 +1051,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different machine size")]
-    fn with_table_rejects_size_mismatch() {
-        let a = Torus3D::new([2, 2, 2]);
-        let b = Torus3D::new([3, 3, 3]);
-        let table = RouteTable::build(&a);
-        RoutedTopology::with_table(&b, table);
-    }
-
-    #[test]
     fn byte_codec_round_trips_exactly() {
         let topo = Torus3D::new([3, 4, 2]);
         let table = RouteTable::build(&topo);
@@ -1146,6 +1081,11 @@ mod tests {
         let mut huge = bytes.clone();
         huge[..8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(RouteTable::from_bytes(&huge).is_err());
+        // 2^31 nodes: the offset byte count (4·(2^62 + 1)) overflows usize,
+        // which must be an error, not a wrapped length and a huge alloc.
+        let mut wrapped = (1u64 << 31).to_le_bytes().to_vec();
+        wrapped.extend_from_slice(&[0; 8]);
+        assert!(RouteTable::from_bytes(&wrapped).is_err());
         // Breaking offset monotonicity must fail.
         let mut swapped = bytes.clone();
         swapped[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -1249,6 +1189,12 @@ mod tests {
         let mut huge = bytes.clone();
         huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(CompressedRouteTable::from_bytes(&huge).is_err());
+        // 2^31 routers of one node: the offset byte count overflows usize.
+        let mut wrapped = bytes[..8].to_vec();
+        wrapped.extend_from_slice(&(1u64 << 31).to_le_bytes());
+        wrapped.extend_from_slice(&1u64.to_le_bytes());
+        wrapped.extend_from_slice(&[0; 8]);
+        assert!(CompressedRouteTable::from_bytes(&wrapped).is_err());
         let mut bad_geometry = bytes.clone();
         // 7 nodes across routers of 2 does not divide evenly.
         bad_geometry[8..16].copy_from_slice(&7u64.to_le_bytes());
@@ -1272,6 +1218,7 @@ mod tests {
         // 2366 nodes -> n² ≈ 5.6M > DENSE_PAIR_LIMIT, but only 338 routers.
         let sf = crate::SlimFly::new(13, 7);
         assert!(sf.num_nodes() * sf.num_nodes() > DENSE_PAIR_LIMIT);
+        assert_eq!(StoragePlan::of(&sf), StoragePlan::Compressed);
         let routed = RoutedTopology::auto(&sf);
         assert!(routed.compressed_table().is_some());
         assert!(routed.table().is_none());
@@ -1291,6 +1238,7 @@ mod tests {
         // 9 000 routers -> R² = 81M > COMPRESSED_PAIR_LIMIT; symmetric, so
         // the picker takes lazy per-source-router core rows.
         let jf = crate::Jellyfish::new(9_000, 4, 1, 1);
+        assert_eq!(StoragePlan::of(&jf), StoragePlan::LazyCompressed);
         let routed = RoutedTopology::auto(&jf);
         assert!(routed.compressed_table().is_none());
         assert!(routed.table().is_none());
@@ -1315,6 +1263,7 @@ mod tests {
         // hint; auto must fall back to lazy flat rows (allocation only,
         // no routing happens here).
         let t = crate::TorusNd::new(&[200, 200, 2]);
+        assert_eq!(StoragePlan::of(&t), StoragePlan::Lazy);
         let routed = RoutedTopology::auto(&t);
         assert!(routed.table().is_none());
         assert!(routed.compressed_table().is_none());

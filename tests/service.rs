@@ -6,9 +6,10 @@ use netloc::core::canon::{canonical_json, content_digest, digest_hex};
 use netloc::core::{analyze_network_routed, TrafficMatrix};
 use netloc::mpi::{parse_trace, write_trace, CollectiveOp, Payload, Rank, TraceBuilder};
 use netloc::service::http::json_escape;
-use netloc::service::payload::{AnalyzeResponse, TraceMeta};
+use netloc::service::payload::{self, AnalyzeResponse, TraceMeta};
 use netloc::service::{RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
+use netloc::topology::routetable::StoragePlan;
 use netloc::topology::{MappingSpec, RoutedTopology, TopologySpec};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,6 +212,47 @@ fn sweep_stats_metrics_and_workload_endpoints() {
     assert_eq!(workload.status, 200, "{}", workload.body_str());
     assert!(workload.body_str().contains("\"app\": \"EXMATEX LULESH\""));
 
+    server.shutdown();
+}
+
+#[test]
+fn machines_past_the_table_limits_route_lazily_per_request() {
+    // torus:13,13,13 has 2 197 nodes, so 4.8M ordered pairs: past the
+    // dense limit, and a torus has no router symmetry. The storage plan
+    // routes it with lazy rows, which the route cache never holds.
+    let topo_spec: TopologySpec = "torus:13,13,13".parse().unwrap();
+    let topo = topo_spec.build().unwrap();
+    assert_eq!(StoragePlan::of(topo.as_ref()), StoragePlan::Lazy);
+
+    let server = start(test_config());
+    let addr = server.addr();
+    let body = "{\"workload\": \"lulesh:64\", \"topology\": \"torus:13,13,13\"}";
+    let resp = client::post(addr, "/v1/analyze", body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+
+    let (app, ranks, canonical) = netloc::workloads::parse_workload_spec("lulesh:64").unwrap();
+    let ingest = netloc::core::ingest_trace(netloc::workloads::generate_workload(app, ranks));
+    let expected = payload::analyze(
+        &ingest.trace,
+        &ingest.matrix,
+        digest_hex(content_digest(format!("workload:{canonical}").as_bytes())),
+        &topo_spec,
+        &MappingSpec::Consecutive,
+        &RoutedTopology::auto(topo.as_ref()),
+    )
+    .unwrap();
+    assert_eq!(
+        resp.body,
+        canonical_json(&expected).into_bytes(),
+        "uncached response != payload::analyze over RoutedTopology::auto"
+    );
+    let statusz = client::get(addr, "/v1/statusz").unwrap();
+    assert_eq!(
+        json_counter(statusz.body_str(), &["route_tables_built"]),
+        0,
+        "{}",
+        statusz.body_str()
+    );
     server.shutdown();
 }
 
