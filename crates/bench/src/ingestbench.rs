@@ -1,8 +1,9 @@
 //! Tracked ingest-throughput benchmark (`repro bench-ingest`).
 //!
 //! Measures the parallel zero-copy ingest pipeline
-//! ([`netloc_core::ingest_trace_bytes`]: chunked byte parsing + sharded
-//! traffic accumulation + fused Table 1/3 stats) against the sequential
+//! ([`netloc_mpi::parse_trace_auto`] then [`netloc_core::ingest_trace`]:
+//! chunked byte parsing + sharded traffic accumulation + fused Table 1/3
+//! stats) against the sequential
 //! baseline it replaced: [`netloc_mpi::parse_trace`] followed by the three
 //! separate event walks `TrafficMatrix::from_trace_full`,
 //! `TrafficMatrix::from_trace_p2p`, and `Trace::stats`.
@@ -37,8 +38,10 @@
 //! (pipeline divergence) or schema regression; the full run stays manual
 //! because it needs minutes of quiet machine.
 
-use netloc_core::{ingest_trace_bytes, IngestResult, TrafficMatrix};
-use netloc_mpi::{parse_trace, write_trace, CollectiveOp, Payload, Rank, Trace, TraceBuilder};
+use netloc_core::{ingest_trace, IngestResult, TrafficMatrix};
+use netloc_mpi::{
+    parse_trace, parse_trace_auto, write_trace, CollectiveOp, Payload, Rank, Trace, TraceBuilder,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
@@ -165,7 +168,8 @@ pub struct IngestRow {
     /// Sequential path (`parse_trace` + three event walks): best
     /// wall-clock over the timing iterations.
     pub sequential_s: f64,
-    /// Parallel fused pipeline (`ingest_trace_bytes`): best wall-clock.
+    /// Parallel fused pipeline (`parse_trace_auto` + `ingest_trace`): best
+    /// wall-clock.
     pub parallel_s: f64,
     /// Trace text megabytes ingested per second, sequential path.
     pub sequential_mb_per_s: f64,
@@ -259,9 +263,9 @@ pub fn run(smoke: bool) -> IngestReport {
         // page cache and allocator for every path. The columnar and
         // streamed decodes must reproduce the text ingest byte-for-byte.
         let seq = sequential_ingest(&text);
-        let par = ingest_trace_bytes(text.as_bytes()).expect("benchmark trace parses");
+        let par = ingest_trace(parse_trace_auto(text.as_bytes()).expect("benchmark trace parses"));
         assert_equal(&seq, &par, &config);
-        let col_ingest = ingest_trace_bytes(&col).expect("columnar encoding parses");
+        let col_ingest = ingest_trace(parse_trace_auto(&col).expect("columnar encoding parses"));
         assert_equal(&seq, &col_ingest, &format!("{config} (columnar)"));
         let (streamed_trace, peak_buffered) = stream_decode(&col);
         assert_eq!(
@@ -277,7 +281,7 @@ pub fn run(smoke: bool) -> IngestReport {
 
         let sequential_s = time_best(iters, || sequential_ingest(&text));
         let parallel_s = time_best(iters, || {
-            ingest_trace_bytes(text.as_bytes()).expect("parses")
+            ingest_trace(parse_trace_auto(text.as_bytes()).expect("parses"))
         });
         let text_parse_s = time_best(iters, || parse_trace(&text).expect("parses"));
         let columnar_s = time_best(iters, || {

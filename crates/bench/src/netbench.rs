@@ -38,12 +38,12 @@
 //! CI and fails on panic (report divergence) or schema regression; the
 //! full run stays manual because it needs minutes of quiet machine.
 
-use netloc_core::sweep::MappingSpec;
 use netloc_core::{
     analyze_network_rank_pairs, analyze_network_routed, node_pair_traffic, patterns, TrafficMatrix,
 };
 use netloc_topology::{
-    Dragonfly, FatTree, Mapping, NodeId, RoutedTopology, Topology, TopologySpec, Torus3D,
+    Dragonfly, FatTree, Mapping, MappingSpec, NodeId, RoutedTopology, Topology, TopologySpec,
+    Torus3D,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -117,7 +117,7 @@ pub struct BenchRow {
     pub nodes: usize,
     /// Number of ranks in the workload.
     pub ranks: u32,
-    /// Mapping label (`consecutive`, `block4`, `random`).
+    /// Mapping label (`consecutive`, `block4`, `random-block4`).
     pub mapping: String,
     /// Workload label.
     pub workload: String,
@@ -225,12 +225,17 @@ pub fn run(smoke: bool) -> BenchReport {
         let table_build_s = t.elapsed().as_secs_f64();
 
         let specs = [
-            MappingSpec::Consecutive,
-            MappingSpec::Block { cores: 4 },
-            MappingSpec::RandomBlock { cores: 4, seed: 1 },
+            ("consecutive", MappingSpec::Consecutive),
+            ("block4", MappingSpec::Block { cores: 4 }),
+            (
+                "random-block4",
+                MappingSpec::RandomBlock { cores: 4, seed: 1 },
+            ),
         ];
-        for spec in &specs {
-            let mapping = spec.build(cfg.ranks as usize, nodes);
+        for (label, spec) in &specs {
+            let mapping = spec
+                .build(cfg.ranks as usize, nodes)
+                .expect("bench mappings fit their machines");
             let rank_pairs = tm.num_pairs();
             let chunk = 512.max(rank_pairs / 256 + 1);
 
@@ -240,11 +245,9 @@ pub fn run(smoke: bool) -> BenchReport {
             let base_rep = analyze_network_rank_pairs(topo, &mapping, &tm, chunk);
             let routed_rep = analyze_network_routed(&routed, &mapping, &tm);
             assert_eq!(
-                base_rep,
-                routed_rep,
-                "replay divergence on {} / {}",
-                cfg.name,
-                spec.label()
+                base_rep, routed_rep,
+                "replay divergence on {} / {label}",
+                cfg.name
             );
 
             let node_pairs = node_pair_traffic(&mapping, &tm).len();
@@ -260,7 +263,7 @@ pub fn run(smoke: bool) -> BenchReport {
                 config: cfg.name.to_string(),
                 nodes,
                 ranks: cfg.ranks,
-                mapping: spec.label(),
+                mapping: label.to_string(),
                 workload: workload.clone(),
                 rank_pairs,
                 node_pairs,

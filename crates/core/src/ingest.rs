@@ -1,19 +1,24 @@
-//! Parallel fused trace ingest: bytes → (trace, traffic matrices, stats).
+//! Parallel fused trace ingest: trace → (traffic matrices, stats), whole
+//! or cut into time windows.
 //!
-//! The sequential pipeline runs four passes over a trace — parse, then
+//! The sequential pipeline runs three analysis passes over a parsed trace —
 //! [`TrafficMatrix::from_trace_full`], [`TrafficMatrix::from_trace_p2p`],
 //! and [`TraceStats::compute`] each re-walk `trace.events`. This module
-//! fuses the three analysis passes into one chunk-parallel fold and pairs
-//! it with the zero-copy parser
-//! [`parse_trace_bytes`](netloc_mpi::parse_trace_bytes):
+//! fuses them into one chunk-parallel fold; callers decode first
+//! ([`parse_trace_auto`](netloc_mpi::parse_trace_auto) picks the
+//! chunk-parallel text or columnar parser) and then call [`ingest_trace`]:
 //!
 //! * events are split into one chunk per rayon worker;
-//! * each worker folds its chunk into a private [`Shard`] — full matrix
-//!   cells, p2p-only cells, and Table 1 counters accumulated together,
-//!   with collectives expanded through the allocation-free
-//!   [`for_each_translated`] callback;
-//! * shards merge pairwise (plain `u64` additions) and the merged cells
-//!   become the final [`TrafficMatrix`]s.
+//! * each worker folds its chunk into a private [`WindowedAccum`] — one
+//!   [`Shard`] per time window holding full matrix cells, p2p-only cells,
+//!   and Table 1 counters accumulated together, with collectives expanded
+//!   through the allocation-free [`for_each_translated`] callback;
+//! * accumulators merge pairwise (plain `u64` additions) and the merged
+//!   cells become the final [`TrafficMatrix`]s.
+//!
+//! The whole-trace ingest is the one-window case: [`ingest_trace`] folds
+//! each chunk straight into window 0 and returns it as the
+//! [`IngestResult`].
 //!
 //! Every per-pair update uses exactly [`TrafficMatrix::record`]'s
 //! arithmetic, and `u64` addition is associative/commutative, so the result
@@ -22,17 +27,18 @@
 //! asserts that over the whole corpus; the property tests assert invariance
 //! under worker count and chunk size.
 //!
-//! For small rank counts each shard accumulates into a dense `n × n` cell
-//! array (branch-free indexed adds on the hot path) and converts to the
-//! hash-map form once at the end; large rank counts or wide fan-outs fall
-//! back to hash-map shards so memory stays bounded by actual pair counts.
+//! For small rank counts each whole-trace shard accumulates into a dense
+//! `n × n` cell array (branch-free indexed adds on the hot path) and
+//! converts to the hash-map form once at the end; large rank counts, wide
+//! fan-outs and windowed folds use hash-map shards so memory stays bounded
+//! by actual pair counts.
 
 use crate::fxhash::FxHashMap;
 use crate::netmodel::PACKET_PAYLOAD;
 use crate::traffic::{PairTraffic, TrafficMatrix};
 use netloc_mpi::{
-    collective_volume, for_each_translated, parse_trace_bytes, CollectiveOp, CommId, Event,
-    Payload, TimedEvent, Trace, TraceStats,
+    collective_volume, for_each_translated, CollectiveOp, CommId, Event, Payload, TimedEvent,
+    Trace, TraceStats,
 };
 use rayon::prelude::*;
 
@@ -53,37 +59,6 @@ pub struct IngestResult {
     pub stats: TraceStats,
 }
 
-/// Parse trace bytes in whichever of the three formats the magic prefix
-/// announces — columnar (`NLCOLTR`), row binary (`NLDUMPI`), or the text
-/// dumpi dialect — and fold the events into matrices and stats in one
-/// pass. The columnar and text parsers are both chunk-parallel.
-pub fn ingest_trace_bytes(bytes: &[u8]) -> netloc_mpi::Result<IngestResult> {
-    Ok(ingest_trace(parse_trace_auto(bytes)?))
-}
-
-/// Format dispatch on the magic prefix, shared by the byte and file entry
-/// points.
-pub fn parse_trace_auto(bytes: &[u8]) -> netloc_mpi::Result<Trace> {
-    if bytes.starts_with(netloc_mpi::colfmt::MAGIC) {
-        netloc_mpi::parse_trace_columnar(bytes)
-    } else if bytes.starts_with(netloc_mpi::binfmt::MAGIC) {
-        netloc_mpi::parse_trace_binary(bytes)
-    } else {
-        parse_trace_bytes(bytes)
-    }
-}
-
-/// Ingest a trace file through a read-only memory mapping: the kernel
-/// pages file segments in on demand, so resident *input* memory stays
-/// O(working set) even for files far larger than RAM — the parsers walk
-/// the mapping exactly as they would a heap buffer. (The decoded events
-/// and matrices are the output and scale with trace content, not file
-/// size.)
-pub fn ingest_trace_path(path: &std::path::Path) -> netloc_mpi::Result<IngestResult> {
-    let mapped = netloc_mpi::MappedFile::open(path)?;
-    ingest_trace_bytes(mapped.bytes())
-}
-
 /// Fold an already-parsed trace into matrices and stats in one
 /// chunk-parallel pass.
 pub fn ingest_trace(trace: Trace) -> IngestResult {
@@ -96,6 +71,32 @@ pub fn ingest_trace(trace: Trace) -> IngestResult {
 /// The result is invariant in the chunk size; the knob exists for the
 /// invariance property tests.
 pub fn ingest_trace_chunked(trace: Trace, chunk_events: usize) -> IngestResult {
+    let whole = fold_parallel(&trace, 1, chunk_events)
+        .finish(&trace)
+        .windows
+        .pop()
+        .expect("one window");
+    let stats = TraceStats {
+        ranks: trace.num_ranks,
+        exec_time_s: trace.exec_time_s,
+        p2p_bytes: whole.p2p_bytes,
+        coll_bytes: whole.coll_bytes,
+        p2p_calls: whole.p2p_calls,
+        coll_calls: whole.coll_calls,
+    };
+    IngestResult {
+        trace,
+        matrix: whole.matrix,
+        p2p: whole.p2p,
+        stats,
+    }
+}
+
+/// The one parallel driver: fold `chunk_events`-sized chunks (`0` = one
+/// chunk per rayon worker) into private accumulators and merge them.
+/// Dense cells are reserved for the one-window fold, and only while
+/// [`dense_shards_fit`]; windowed folds keep hash-map shards.
+fn fold_parallel(trace: &Trace, windows: usize, chunk_events: usize) -> WindowedAccum {
     let workers = rayon::max_workers().max(1);
     let chunk = if chunk_events > 0 {
         chunk_events
@@ -103,13 +104,17 @@ pub fn ingest_trace_chunked(trace: Trace, chunk_events: usize) -> IngestResult {
         trace.events.len().div_ceil(workers).max(1)
     };
     let shard_count = trace.events.len().div_ceil(chunk).max(1);
-    let n = trace.num_ranks;
-    let use_dense = dense_shards_fit(n, shard_count);
-
-    let shard = trace
+    let use_dense = windows == 1 && dense_shards_fit(trace.num_ranks, shard_count);
+    let empty =
+        |dense| WindowedAccum::with_storage(trace.num_ranks, windows, trace.exec_time_s, dense);
+    trace
         .events
         .par_chunks(chunk)
-        .map(|events| Some(fold_chunk(&trace, events, use_dense)))
+        .map(|events| {
+            let mut accum = empty(use_dense);
+            accum.fold_events(trace, events);
+            Some(accum)
+        })
         .reduce(
             || None,
             |a, b| match (a, b) {
@@ -120,25 +125,7 @@ pub fn ingest_trace_chunked(trace: Trace, chunk_events: usize) -> IngestResult {
                 (x, None) | (None, x) => x,
             },
         )
-        .unwrap_or_else(|| Shard::new(n, false));
-
-    let (full_pairs, p2p_pairs, counters) = shard.into_parts(&trace);
-    let stats = TraceStats {
-        ranks: trace.num_ranks,
-        exec_time_s: trace.exec_time_s,
-        p2p_bytes: counters.p2p_bytes,
-        coll_bytes: counters.coll_bytes,
-        p2p_calls: counters.p2p_calls,
-        coll_calls: counters.coll_calls,
-    };
-    let matrix = TrafficMatrix::from_parts(n, full_pairs);
-    let p2p = TrafficMatrix::from_parts(n, p2p_pairs);
-    IngestResult {
-        trace,
-        matrix,
-        p2p,
-        stats,
-    }
+        .unwrap_or_else(|| empty(false))
 }
 
 /// Dense cells cost `n² × sizeof(Cell)` bytes *per shard*, and all shards
@@ -225,7 +212,7 @@ struct CollAcc {
     b: PhaseAcc,
 }
 
-/// One worker's private accumulator.
+/// One window's private accumulator within one worker's chunk.
 struct Shard {
     num_ranks: u32,
     counters: Counters,
@@ -252,6 +239,78 @@ impl Shard {
         }
     }
 
+    /// Fold the leading events for which `in_run` holds into this shard:
+    /// matrix cells and Table 1 counters from the same walk, collectives
+    /// expanded via callback. Returns how many events were folded.
+    ///
+    /// The event walk is monomorphized per storage form so the per-record
+    /// closure fully inlines — the dense path is a handful of indexed adds.
+    fn fold(
+        &mut self,
+        trace: &Trace,
+        events: &[TimedEvent],
+        in_run: impl Fn(&TimedEvent) -> bool,
+    ) -> usize {
+        let Shard {
+            num_ranks,
+            counters,
+            dense,
+            full,
+            p2p,
+            coll,
+        } = self;
+        if let Some(dense) = dense.as_deref_mut() {
+            let n = *num_ranks as usize;
+            fold_events(
+                trace,
+                events,
+                in_run,
+                counters,
+                coll,
+                |src, dst, bytes, repeat, is_p2p| {
+                    if src == dst || repeat == 0 {
+                        return;
+                    }
+                    let add_bytes = bytes * repeat;
+                    let add_packets = bytes.div_ceil(PACKET_PAYLOAD).max(1) * repeat;
+                    let cell = &mut dense[src as usize * n + dst as usize];
+                    cell.full.bytes += add_bytes;
+                    cell.full.messages += repeat;
+                    cell.full.packets += add_packets;
+                    if is_p2p {
+                        cell.p2p.bytes += add_bytes;
+                        cell.p2p.messages += repeat;
+                        cell.p2p.packets += add_packets;
+                    }
+                },
+            )
+        } else {
+            fold_events(
+                trace,
+                events,
+                in_run,
+                counters,
+                coll,
+                |src, dst, bytes, repeat, is_p2p| {
+                    if src == dst || repeat == 0 {
+                        return;
+                    }
+                    let add_bytes = bytes * repeat;
+                    let add_packets = bytes.div_ceil(PACKET_PAYLOAD).max(1) * repeat;
+                    let apply = |e: &mut PairTraffic| {
+                        e.bytes += add_bytes;
+                        e.messages += repeat;
+                        e.packets += add_packets;
+                    };
+                    apply(full.entry((src, dst)).or_default());
+                    if is_p2p {
+                        apply(p2p.entry((src, dst)).or_default());
+                    }
+                },
+            )
+        }
+    }
+
     /// Add another shard's cells and counters into this one.
     fn merge(&mut self, other: Shard) {
         self.counters.p2p_bytes += other.counters.p2p_bytes;
@@ -270,29 +329,6 @@ impl Shard {
                     add(&mut a.p2p, &b.p2p);
                 }
             }
-            (None, Some(theirs)) => {
-                // Only reachable if shard layouts ever diverge; fold back
-                // into the hash maps rather than assuming uniformity.
-                let n = self.num_ranks as usize;
-                for (i, cell) in theirs.iter().enumerate() {
-                    let key = ((i / n) as u32, (i % n) as u32);
-                    if cell.full.messages > 0 {
-                        add(self.full.entry(key).or_default(), &cell.full);
-                    }
-                    if cell.p2p.messages > 0 {
-                        add(self.p2p.entry(key).or_default(), &cell.p2p);
-                    }
-                }
-            }
-            (Some(mine), None) => {
-                let n = self.num_ranks as usize;
-                for (&(s, d), p) in &other.full {
-                    add(&mut mine[s as usize * n + d as usize].full, p);
-                }
-                for (&(s, d), p) in &other.p2p {
-                    add(&mut mine[s as usize * n + d as usize].p2p, p);
-                }
-            }
             (None, None) => {
                 for (k, p) in other.full {
                     add(self.full.entry(k).or_default(), &p);
@@ -301,6 +337,8 @@ impl Shard {
                     add(self.p2p.entry(k).or_default(), &p);
                 }
             }
+            // Only `fold_parallel` builds dense shards, one form per fold.
+            _ => unreachable!("merged shards share one storage form"),
         }
         for (k, acc) in other.coll {
             let mine = self.coll.entry(k).or_default();
@@ -367,68 +405,9 @@ impl Shard {
     }
 }
 
-/// Fold one event chunk into a fresh shard: matrix cells and Table 1
-/// counters from the same walk, collectives expanded via callback.
-///
-/// The event walk is monomorphized per storage form so the per-record
-/// closure fully inlines — the dense path is a handful of indexed adds.
-fn fold_chunk(trace: &Trace, events: &[TimedEvent], use_dense: bool) -> Shard {
-    let mut shard = Shard::new(trace.num_ranks, use_dense);
-    if let Some(mut dense) = shard.dense.take() {
-        let n = shard.num_ranks as usize;
-        fold_events(
-            trace,
-            events,
-            &mut shard.counters,
-            &mut shard.coll,
-            |src, dst, bytes, repeat, is_p2p| {
-                if src == dst || repeat == 0 {
-                    return;
-                }
-                let add_bytes = bytes * repeat;
-                let add_packets = bytes.div_ceil(PACKET_PAYLOAD).max(1) * repeat;
-                let cell = &mut dense[src as usize * n + dst as usize];
-                cell.full.bytes += add_bytes;
-                cell.full.messages += repeat;
-                cell.full.packets += add_packets;
-                if is_p2p {
-                    cell.p2p.bytes += add_bytes;
-                    cell.p2p.messages += repeat;
-                    cell.p2p.packets += add_packets;
-                }
-            },
-        );
-        shard.dense = Some(dense);
-    } else {
-        let (full, p2p) = (&mut shard.full, &mut shard.p2p);
-        fold_events(
-            trace,
-            events,
-            &mut shard.counters,
-            &mut shard.coll,
-            |src, dst, bytes, repeat, is_p2p| {
-                if src == dst || repeat == 0 {
-                    return;
-                }
-                let add_bytes = bytes * repeat;
-                let add_packets = bytes.div_ceil(PACKET_PAYLOAD).max(1) * repeat;
-                let apply = |e: &mut PairTraffic| {
-                    e.bytes += add_bytes;
-                    e.messages += repeat;
-                    e.packets += add_packets;
-                };
-                apply(full.entry((src, dst)).or_default());
-                if is_p2p {
-                    apply(p2p.entry((src, dst)).or_default());
-                }
-            },
-        );
-    }
-    shard
-}
-
-/// Walk the events once, feeding every (src, dst, bytes, repeat, is_p2p)
-/// record and the Table 1 counters to the caller's accumulator.
+/// Walk the leading events for which `in_run` holds, feeding every (src,
+/// dst, bytes, repeat, is_p2p) record and the Table 1 counters to the
+/// caller's accumulator; returns how many events were walked.
 ///
 /// Uniform-payload collectives are deferred into `coll` (see [`CollKey`])
 /// instead of being expanded per event; everything else goes through
@@ -436,11 +415,15 @@ fn fold_chunk(trace: &Trace, events: &[TimedEvent], use_dense: bool) -> Shard {
 fn fold_events(
     trace: &Trace,
     events: &[TimedEvent],
+    in_run: impl Fn(&TimedEvent) -> bool,
     counters: &mut Counters,
     coll: &mut FxHashMap<CollKey, CollAcc>,
     mut record: impl FnMut(u32, u32, u64, u64, bool),
-) {
-    for te in events {
+) -> usize {
+    for (i, te) in events.iter().enumerate() {
+        if !in_run(te) {
+            return i;
+        }
         match &te.event {
             Event::Send {
                 src, dst, repeat, ..
@@ -469,6 +452,7 @@ fn fold_events(
             }
         }
     }
+    events.len()
 }
 
 /// Try to fold one collective event into the deferred per-key sums.
@@ -612,12 +596,12 @@ fn expand_coll(
 //
 // Time-resolved analysis: the execution is cut into `windows` equal time
 // slices and every per-event contribution lands in its slice's private
-// accumulator. The accumulators use exactly the whole-trace arithmetic
-// (`fold_events` + `expand_coll`), so the per-window results are what the
-// sequential constructors would produce on the window's sub-trace, and —
-// because every counter is a `u64` sum — adding all windows together
-// reproduces the whole-trace aggregates bit for bit. `WindowedAccum` is
-// mergeable and associative: shards and chunks combine in any grouping.
+// shard. The shards are the whole-trace accumulator, so the per-window
+// results are what the sequential constructors would produce on the
+// window's sub-trace, and — because every counter is a `u64` sum — adding
+// all windows together reproduces the whole-trace aggregates bit for bit.
+// `WindowedAccum` is mergeable and associative: shards and chunks combine
+// in any grouping.
 
 /// The window an event timestamp falls into when `[0, exec_time_s)` is cut
 /// into `windows` equal slices. Events at or past `exec_time_s` (clock
@@ -635,49 +619,10 @@ pub fn window_index(time: f64, exec_time_s: f64, windows: usize) -> usize {
     ((frac * windows as f64) as usize).min(windows - 1)
 }
 
-/// One window's private accumulator: hash-map matrix cells plus Table 1
-/// counters and deferred uniform collectives. Windows subdivide shards, so
-/// the dense-cell fast path is not worth `windows × n²` cells here.
-struct WinShard {
-    counters: Counters,
-    full: PairMap,
-    p2p: PairMap,
-    coll: FxHashMap<CollKey, CollAcc>,
-}
-
-impl WinShard {
-    fn new() -> Self {
-        WinShard {
-            counters: Counters::default(),
-            full: FxHashMap::default(),
-            p2p: FxHashMap::default(),
-            coll: FxHashMap::default(),
-        }
-    }
-
-    fn merge(&mut self, other: WinShard) {
-        self.counters.p2p_bytes += other.counters.p2p_bytes;
-        self.counters.coll_bytes += other.counters.coll_bytes;
-        self.counters.p2p_calls += other.counters.p2p_calls;
-        self.counters.coll_calls += other.counters.coll_calls;
-        let add = |a: &mut PairTraffic, b: &PairTraffic| {
-            a.bytes += b.bytes;
-            a.messages += b.messages;
-            a.packets += b.packets;
-        };
-        for (k, p) in other.full {
-            add(self.full.entry(k).or_default(), &p);
-        }
-        for (k, p) in other.p2p {
-            add(self.p2p.entry(k).or_default(), &p);
-        }
-        for (k, acc) in other.coll {
-            let mine = self.coll.entry(k).or_default();
-            mine.a.merge(&acc.a);
-            mine.b.merge(&acc.b);
-        }
-    }
-}
+/// Ceiling on a window (or timeline bin) count: windows beyond the event
+/// count are empty rows, and 4096 already renders a generous timeline.
+/// The service and the CLI reject larger counts.
+pub const MAX_WINDOWS: usize = 4096;
 
 /// Mergeable per-window accumulation state. Feed any subset of a trace's
 /// events with [`fold_events`](WindowedAccum::fold_events), combine
@@ -688,53 +633,42 @@ impl WinShard {
 pub struct WindowedAccum {
     num_ranks: u32,
     exec_time_s: f64,
-    shards: Vec<WinShard>,
+    /// One shard per window, in time order.
+    shards: Vec<Shard>,
 }
 
 impl WindowedAccum {
     /// An empty accumulator with `windows` (≥ 1) time slices.
     pub fn new(num_ranks: u32, windows: usize, exec_time_s: f64) -> Self {
+        Self::with_storage(num_ranks, windows.max(1), exec_time_s, false)
+    }
+
+    fn with_storage(num_ranks: u32, windows: usize, exec_time_s: f64, dense: bool) -> Self {
         WindowedAccum {
             num_ranks,
             exec_time_s,
-            shards: (0..windows.max(1)).map(|_| WinShard::new()).collect(),
+            shards: (0..windows).map(|_| Shard::new(num_ranks, dense)).collect(),
         }
     }
 
     /// Fold a slice of `trace`'s events into their windows, using exactly
-    /// the whole-trace per-event arithmetic.
+    /// the whole-trace per-event arithmetic. Each maximal run of
+    /// consecutive events in one window is folded in one call, which ends
+    /// the run at the first event of another window; with a single window
+    /// the run is the whole slice and no event is looked up.
     pub fn fold_events(&mut self, trace: &Trace, events: &[TimedEvent]) {
         let windows = self.shards.len();
-        for te in events {
-            let w = window_index(te.time, self.exec_time_s, windows);
-            let WinShard {
-                counters,
-                full,
-                p2p,
-                coll,
-            } = &mut self.shards[w];
-            fold_events(
-                trace,
-                std::slice::from_ref(te),
-                counters,
-                coll,
-                |src, dst, bytes, repeat, is_p2p| {
-                    if src == dst || repeat == 0 {
-                        return;
-                    }
-                    let add_bytes = bytes * repeat;
-                    let add_packets = bytes.div_ceil(PACKET_PAYLOAD).max(1) * repeat;
-                    let apply = |e: &mut PairTraffic| {
-                        e.bytes += add_bytes;
-                        e.messages += repeat;
-                        e.packets += add_packets;
-                    };
-                    apply(full.entry((src, dst)).or_default());
-                    if is_p2p {
-                        apply(p2p.entry((src, dst)).or_default());
-                    }
-                },
-            );
+        if windows == 1 {
+            self.shards[0].fold(trace, events, |_| true);
+            return;
+        }
+        let exec = self.exec_time_s;
+        let window = |te: &TimedEvent| window_index(te.time, exec, windows);
+        let mut rest = events;
+        while let Some(first) = rest.first() {
+            let w = window(first);
+            let folded = self.shards[w].fold(trace, rest, |te| window(te) == w);
+            rest = &rest[folded..];
         }
     }
 
@@ -753,33 +687,24 @@ impl WindowedAccum {
         let n = self.num_ranks;
         let exec = self.exec_time_s;
         let count = self.shards.len();
-        let mut windows = Vec::with_capacity(count);
-        for (w, shard) in self.shards.into_iter().enumerate() {
-            let WinShard {
-                counters,
-                mut full,
-                p2p,
-                coll,
-            } = shard;
-            for (key, acc) in &coll {
-                expand_coll(trace, key, acc, |src, dst, phase| {
-                    let e = full.entry((src, dst)).or_default();
-                    e.bytes += phase.bytes;
-                    e.messages += phase.messages;
-                    e.packets += phase.packets;
-                });
-            }
-            windows.push(WindowMetrics {
-                t_start_s: exec * w as f64 / count as f64,
-                t_end_s: exec * (w + 1) as f64 / count as f64,
-                matrix: TrafficMatrix::from_parts(n, full),
-                p2p: TrafficMatrix::from_parts(n, p2p),
-                p2p_bytes: counters.p2p_bytes,
-                coll_bytes: counters.coll_bytes,
-                p2p_calls: counters.p2p_calls,
-                coll_calls: counters.coll_calls,
-            });
-        }
+        let windows = self
+            .shards
+            .into_iter()
+            .enumerate()
+            .map(|(w, shard)| {
+                let (full, p2p, counters) = shard.into_parts(trace);
+                WindowMetrics {
+                    t_start_s: exec * w as f64 / count as f64,
+                    t_end_s: exec * (w + 1) as f64 / count as f64,
+                    matrix: TrafficMatrix::from_parts(n, full),
+                    p2p: TrafficMatrix::from_parts(n, p2p),
+                    p2p_bytes: counters.p2p_bytes,
+                    coll_bytes: counters.coll_bytes,
+                    p2p_calls: counters.p2p_calls,
+                    coll_calls: counters.coll_calls,
+                }
+            })
+            .collect();
         WindowedMetrics {
             num_ranks: n,
             exec_time_s: exec,
@@ -839,33 +764,7 @@ pub fn windowed_ingest_chunked(
     windows: usize,
     chunk_events: usize,
 ) -> WindowedMetrics {
-    let windows = windows.max(1);
-    let workers = rayon::max_workers().max(1);
-    let chunk = if chunk_events > 0 {
-        chunk_events
-    } else {
-        trace.events.len().div_ceil(workers).max(1)
-    };
-    let accum = trace
-        .events
-        .par_chunks(chunk)
-        .map(|events| {
-            let mut a = WindowedAccum::new(trace.num_ranks, windows, trace.exec_time_s);
-            a.fold_events(trace, events);
-            Some(a)
-        })
-        .reduce(
-            || None,
-            |a, b| match (a, b) {
-                (Some(mut x), Some(y)) => {
-                    x.merge(y);
-                    Some(x)
-                }
-                (x, None) | (None, x) => x,
-            },
-        )
-        .unwrap_or_else(|| WindowedAccum::new(trace.num_ranks, windows, trace.exec_time_s));
-    accum.finish(trace)
+    fold_parallel(trace, windows.max(1), chunk_events).finish(trace)
 }
 
 /// Independent sequential reference for the windowed fold: bucket the
@@ -961,7 +860,9 @@ pub fn windows_diff(a: &WindowedMetrics, b: &WindowedMetrics) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netloc_mpi::{write_trace, CollectiveOp, Datatype, Payload, Rank, TraceBuilder};
+    use netloc_mpi::{
+        parse_trace_auto, write_trace, CollectiveOp, Datatype, Payload, Rank, TraceBuilder,
+    };
 
     fn mixed_trace(ranks: u32) -> Trace {
         let mut b = TraceBuilder::new("ingest-test", ranks).exec_time_s(3.5);
@@ -1040,7 +941,7 @@ mod tests {
     fn ingest_from_bytes_roundtrips() {
         let trace = mixed_trace(8);
         let text = write_trace(&trace);
-        let result = ingest_trace_bytes(text.as_bytes()).unwrap();
+        let result = ingest_trace(parse_trace_auto(text.as_bytes()).unwrap());
         assert_eq!(result.trace, trace);
         assert_matches_sequential(&trace, &result);
     }
@@ -1072,16 +973,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_detect_parses_all_three_formats() {
+    fn auto_detect_parses_both_formats() {
         let trace = mixed_trace(8);
         let text = write_trace(&trace);
-        let bin = netloc_mpi::write_trace_binary(&trace);
         let col = netloc_mpi::write_trace_columnar(&trace);
-        for bytes in [text.as_bytes(), &bin[..], &col[..]] {
-            let result = ingest_trace_bytes(bytes).unwrap();
+        for bytes in [text.as_bytes(), &col[..]] {
+            let result = ingest_trace(parse_trace_auto(bytes).unwrap());
             assert_eq!(result.trace, trace);
             assert_matches_sequential(&trace, &result);
         }
+        // Any other magic falls through to the text parser, which rejects it.
+        assert!(parse_trace_auto(b"NLDUMPI\x01\x04demo").is_err());
     }
 
     #[test]
@@ -1094,8 +996,9 @@ mod tests {
         ] {
             let path = dir.join(format!("netloc-ingest-{}-{name}.trace", std::process::id()));
             std::fs::write(&path, &bytes).unwrap();
-            let mapped = ingest_trace_path(&path).unwrap();
-            let in_mem = ingest_trace_bytes(&bytes).unwrap();
+            let file = netloc_mpi::MappedFile::open(&path).unwrap();
+            let mapped = ingest_trace(parse_trace_auto(file.bytes()).unwrap());
+            let in_mem = ingest_trace(parse_trace_auto(&bytes).unwrap());
             assert_eq!(mapped.trace, in_mem.trace);
             assert_eq!(mapped.stats, in_mem.stats);
             assert_eq!(mapped.matrix.sorted_pairs(), in_mem.matrix.sorted_pairs());
@@ -1105,13 +1008,40 @@ mod tests {
     }
 
     #[test]
+    fn dense_cells_only_in_the_one_window_fold() {
+        let trace = mixed_trace(16);
+        let whole = fold_parallel(&trace, 1, 0);
+        assert!(whole.shards[0].dense.is_some());
+        let windowed = fold_parallel(&trace, 4, 0);
+        assert!(windowed.shards.iter().all(|s| s.dense.is_none()));
+        // Past the rank ceiling even the one-window fold uses hash maps.
+        let wide = mixed_trace(1500);
+        assert!(fold_parallel(&wide, 1, 0).shards[0].dense.is_none());
+    }
+
+    #[test]
     fn windowed_fold_matches_reference() {
         let trace = mixed_trace(16);
-        for windows in [1usize, 2, 5, 16] {
-            let par = windowed_ingest(&trace, windows);
-            let reference = windowed_reference(&trace, windows);
-            let diffs = windows_diff(&par, &reference);
-            assert!(diffs.is_empty(), "windows={windows}: {diffs:?}");
+        // Out-of-order, non-finite and out-of-range times cut every chunk
+        // into short same-window runs that revisit earlier windows.
+        let mut scrambled = trace.clone();
+        for (i, te) in scrambled.events.iter_mut().enumerate() {
+            te.time = match i % 7 {
+                0 => f64::NAN,
+                1 => -1.0,
+                2 => 99.0,
+                _ => (i * 37 % 11) as f64 * 0.3,
+            };
+        }
+        for trace in [&trace, &scrambled] {
+            for windows in [1usize, 2, 5, 16] {
+                let reference = windowed_reference(trace, windows);
+                for chunk in [0usize, 1, 5] {
+                    let par = windowed_ingest_chunked(trace, windows, chunk);
+                    let diffs = windows_diff(&par, &reference);
+                    assert!(diffs.is_empty(), "windows={windows}: {diffs:?}");
+                }
+            }
         }
     }
 

@@ -39,14 +39,15 @@ pub mod timeline;
 pub mod traffic;
 
 pub use ingest::{
-    ingest_trace, ingest_trace_bytes, ingest_trace_chunked, ingest_trace_path, parse_trace_auto,
-    window_index, windowed_ingest, windowed_ingest_chunked, windowed_reference, windows_diff,
-    IngestResult, WindowMetrics, WindowedAccum, WindowedMetrics,
+    ingest_trace, ingest_trace_chunked, window_index, windowed_ingest, windowed_ingest_chunked,
+    windowed_reference, windows_diff, IngestResult, WindowMetrics, WindowedAccum, WindowedMetrics,
+    MAX_WINDOWS,
 };
 pub use metrics::dimensionality::{folded_locality, DimensionalityReport};
 pub use metrics::peers::peers;
 pub use metrics::rank_locality::{rank_distance_90, rank_locality_90};
 pub use metrics::selectivity::{selectivity_90, SelectivityCurve};
+pub use netloc_mpi::parse_trace_auto;
 pub use netmodel::{
     analyze_network, analyze_network_chunked, analyze_network_rank_pairs, analyze_network_routed,
     analyze_network_routed_chunked, node_pair_traffic, NetworkReport, LINK_BANDWIDTH_BYTES_PER_S,
@@ -54,5 +55,5 @@ pub use netmodel::{
 };
 pub use refmodel::analyze_network_reference;
 pub use report::{analyze_trace, TraceAnalysis};
-pub use sweep::{shard_of, sweep_grid, GridCell, GridSpec, MappingSpec, SweepCell};
+pub use sweep::{shard_of, GridCell, GridSpec};
 pub use traffic::{PairTraffic, TrafficMatrix};

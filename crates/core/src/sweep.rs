@@ -1,163 +1,38 @@
-//! Topology × mapping × workload sweep grids over shared route tables.
+//! Canonical topology × mapping × workload sweep grids.
 //!
 //! The paper's results are a static grid — every application trace replayed
 //! through 3 topologies × 3 mappings × several machine sizes (§4.2, Tables
-//! 4–6). Routes depend only on the topology, so the expensive part of that
-//! grid (route computation) is shared across the whole mapping × workload
-//! plane: this module builds one [`RoutedTopology`] per topology
-//! ([`RoutedTopology::auto`]: dense CSR up to ~4M node pairs, lazy
-//! per-source rows above) and replays every cell against it via the
-//! node-pair-deduplicated path of [`crate::netmodel`].
+//! 4–6). The job subsystem (service `POST /v1/jobs`, `netloc sweep
+//! --remote`) needs a grid identity that is *total-ordered and canonical*:
+//! every instance that receives the same spec — however its axes were
+//! spelled or ordered — must expand it to the identical cell sequence,
+//! because cell indices are the unit of sharding, progress reporting, and
+//! resume-after-SIGKILL. [`GridSpec`] is that identity: axes are parsed,
+//! rendered to their canonical spec strings, sorted, and deduplicated, so
+//! the cell at index `i` is the same (topology, mapping, workload)
+//! everywhere, forever. The runners (`netloc_bench::sweepjob` locally, the
+//! service's job workers remotely) replay cells by index; the service's
+//! workers share one route table per topology through its topology cache.
 //!
 //! ```
-//! use netloc_core::sweep::{sweep_grid, MappingSpec};
-//! use netloc_core::TrafficMatrix;
-//! use netloc_topology::{Topology, Torus3D};
+//! use netloc_core::sweep::GridSpec;
 //!
-//! let torus = Torus3D::new([3, 3, 3]);
-//! let mut ring = TrafficMatrix::new(27);
-//! for r in 0..27u32 {
-//!     ring.record(r, (r + 1) % 27, 4096, 1);
-//! }
-//! let cells = sweep_grid(
-//!     &[("torus27", &torus)],
-//!     &[MappingSpec::Consecutive, MappingSpec::Random { seed: 7 }],
-//!     &[("ring", &ring)],
-//! );
-//! assert_eq!(cells.len(), 2);
-//! assert!(cells.iter().all(|c| c.report.packets == 27));
+//! let grid = GridSpec::parse(
+//!     &["torus:04,4,4", "dragonfly:4,2,2"],
+//!     &["random", "consecutive"],
+//!     &["LULESH:64"],
+//! )
+//! .unwrap();
+//! assert_eq!(grid.cell_count(), 4);
+//! let first = grid.cell(0).unwrap();
+//! assert_eq!(first.topology, "dragonfly:4,2,2");
+//! assert_eq!(first.mapping, "consecutive");
+//! // Spelling does not matter: `torus:04,4,4` is `torus:4,4,4`.
+//! assert_eq!(grid.cell(3).unwrap().topology, "torus:4,4,4");
+//! assert_eq!(grid.cell(3).unwrap().mapping, "random:0");
 //! ```
 
-use crate::netmodel::{analyze_network_routed, NetworkReport};
-use crate::traffic::TrafficMatrix;
-use netloc_topology::spec::{MappingSpec as MappingSpecStr, TopologySpec};
-use netloc_topology::{Mapping, NodeId, RoutedTopology, Topology};
-use rand::{Rng, SeedableRng};
-
-/// How to place ranks on nodes in a sweep cell — the paper's three
-/// schemes (§5), made reproducible: the random scheme carries its seed, so
-/// a sweep is a pure function of its inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MappingSpec {
-    /// Rank `r` on node `r`.
-    Consecutive,
-    /// `cores` consecutive ranks per node.
-    Block {
-        /// Ranks per node.
-        cores: usize,
-    },
-    /// A seeded random permutation of the nodes.
-    Random {
-        /// RNG seed; equal seeds give equal mappings.
-        seed: u64,
-    },
-    /// The paper's multicore random placement: `cores` consecutive ranks
-    /// per node, nodes drawn at random (a scattered cluster allocation).
-    RandomBlock {
-        /// Ranks per node.
-        cores: usize,
-        /// RNG seed; equal seeds give equal mappings.
-        seed: u64,
-    },
-}
-
-impl MappingSpec {
-    /// Short scheme label for reports (`"consecutive"`, `"block4"`,
-    /// `"random"`, `"random-block4"`).
-    pub fn label(&self) -> String {
-        match self {
-            MappingSpec::Consecutive => "consecutive".into(),
-            MappingSpec::Block { cores } => format!("block{cores}"),
-            MappingSpec::Random { .. } => "random".into(),
-            MappingSpec::RandomBlock { cores, .. } => format!("random-block{cores}"),
-        }
-    }
-
-    /// Instantiate the mapping for `ranks` ranks on `nodes` nodes.
-    pub fn build(&self, ranks: usize, nodes: usize) -> Mapping {
-        match self {
-            MappingSpec::Consecutive => Mapping::consecutive(ranks, nodes),
-            MappingSpec::Block { cores } => Mapping::block(ranks, *cores, nodes),
-            MappingSpec::Random { seed } => {
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(*seed);
-                Mapping::random(ranks, nodes, &mut rng)
-            }
-            MappingSpec::RandomBlock { cores, seed } => {
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(*seed);
-                let needed = ranks.div_ceil(*cores);
-                assert!(
-                    needed <= nodes,
-                    "{ranks} ranks / {cores} per node need {needed} nodes, have {nodes}"
-                );
-                // Partial Fisher–Yates: the first `needed` entries become a
-                // uniform random sample of distinct nodes.
-                let mut pool: Vec<u32> = (0..nodes as u32).collect();
-                for i in 0..needed {
-                    let j = rng.gen_range(i..pool.len());
-                    pool.swap(i, j);
-                }
-                let assignment = (0..ranks).map(|r| NodeId(pool[r / cores])).collect();
-                Mapping::from_nodes(assignment, nodes)
-            }
-        }
-    }
-}
-
-/// One cell of a sweep grid: the labels that identify it and its replay
-/// report.
-#[derive(Debug, Clone)]
-pub struct SweepCell {
-    /// Topology label (as passed to [`sweep_grid`]).
-    pub topology: String,
-    /// Mapping scheme label ([`MappingSpec::label`]).
-    pub mapping: String,
-    /// Workload label (as passed to [`sweep_grid`]).
-    pub workload: String,
-    /// The replay result for this cell.
-    pub report: NetworkReport,
-}
-
-/// Replay every workload under every mapping scheme on every topology,
-/// building the routes of each topology exactly once.
-///
-/// Cells come back in grid order (topology-major, then mapping, then
-/// workload) and are byte-identical to what per-cell
-/// [`crate::netmodel::analyze_network`] calls would produce — the sharing
-/// is purely a performance property, which the differential tests assert.
-pub fn sweep_grid(
-    topologies: &[(&str, &dyn Topology)],
-    mappings: &[MappingSpec],
-    workloads: &[(&str, &TrafficMatrix)],
-) -> Vec<SweepCell> {
-    let mut cells = Vec::with_capacity(topologies.len() * mappings.len() * workloads.len());
-    for &(tlabel, topo) in topologies {
-        let routed = RoutedTopology::auto(topo);
-        for spec in mappings {
-            for &(wlabel, tm) in workloads {
-                let mapping = spec.build(tm.num_ranks() as usize, topo.num_nodes());
-                cells.push(SweepCell {
-                    topology: tlabel.to_string(),
-                    mapping: spec.label(),
-                    workload: wlabel.to_string(),
-                    report: analyze_network_routed(&routed, &mapping, tm),
-                });
-            }
-        }
-    }
-    cells
-}
-
-// ---- persistent sweep grids ------------------------------------------
-//
-// The job subsystem (service `POST /v1/jobs`, `netloc sweep --remote`)
-// needs a grid identity that is *total-ordered and canonical*: every
-// instance that receives the same spec — however its axes were spelled
-// or ordered — must expand it to the identical cell sequence, because
-// cell indices are the unit of sharding, progress reporting, and
-// resume-after-SIGKILL. [`GridSpec`] is that identity: axes are parsed,
-// rendered to their canonical spec strings, sorted, and deduplicated,
-// so the cell at index `i` is the same (topology, mapping, workload)
-// everywhere, forever.
+use netloc_topology::spec::{MappingSpec, TopologySpec};
 
 /// One fully-expanded cell of a [`GridSpec`]: its global index and the
 /// canonical spec strings that identify it.
@@ -218,7 +93,7 @@ impl GridSpec {
         }
         let mut maps = Vec::with_capacity(mappings.len());
         for m in mappings {
-            let spec: MappingSpecStr = m
+            let spec: MappingSpec = m
                 .as_ref()
                 .parse()
                 .map_err(|e| format!("bad mapping '{}': {e}", m.as_ref()))?;
@@ -266,7 +141,7 @@ impl GridSpec {
     }
 
     /// Expand cell `index` (grid order: topology-major, then mapping,
-    /// then workload — the same order [`sweep_grid`] emits).
+    /// then workload).
     pub fn cell(&self, index: u64) -> Option<GridCell> {
         if index >= self.cell_count() {
             return None;
@@ -316,76 +191,6 @@ fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netmodel::analyze_network;
-    use netloc_topology::{Dragonfly, Torus3D};
-
-    fn workload(n: u32, stride: u32) -> TrafficMatrix {
-        let mut tm = TrafficMatrix::new(n);
-        for r in 0..n {
-            tm.record(r, (r * stride + 1) % n, 2048 + r as u64, 1 + r as u64 % 2);
-        }
-        tm
-    }
-
-    #[test]
-    fn grid_cells_match_individual_replays() {
-        let torus = Torus3D::new([4, 3, 2]);
-        let df = Dragonfly::new(4, 2, 2);
-        let topologies: Vec<(&str, &dyn Topology)> = vec![("torus24", &torus), ("df72", &df)];
-        let mappings = [
-            MappingSpec::Consecutive,
-            MappingSpec::Block { cores: 4 },
-            MappingSpec::Random { seed: 42 },
-        ];
-        let w1 = workload(24, 7);
-        let w2 = workload(24, 11);
-        let workloads = [("w7", &w1), ("w11", &w2)];
-
-        let cells = sweep_grid(&topologies, &mappings, &workloads);
-        assert_eq!(cells.len(), 2 * 3 * 2);
-
-        let mut i = 0;
-        for &(tlabel, topo) in &topologies {
-            for spec in &mappings {
-                for &(wlabel, tm) in &workloads {
-                    let cell = &cells[i];
-                    i += 1;
-                    assert_eq!(cell.topology, tlabel);
-                    assert_eq!(cell.mapping, spec.label());
-                    assert_eq!(cell.workload, wlabel);
-                    let mapping = spec.build(tm.num_ranks() as usize, topo.num_nodes());
-                    assert_eq!(cell.report, analyze_network(topo, &mapping, tm));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn random_spec_is_seed_deterministic() {
-        let a = MappingSpec::Random { seed: 9 }.build(20, 27);
-        let b = MappingSpec::Random { seed: 9 }.build(20, 27);
-        let c = MappingSpec::Random { seed: 10 }.build(20, 27);
-        let nodes = |m: &Mapping| (0..20).map(|r| m.node_of(r)).collect::<Vec<_>>();
-        assert_eq!(nodes(&a), nodes(&b));
-        assert_ne!(nodes(&a), nodes(&c));
-    }
-
-    #[test]
-    fn random_block_spec_packs_cores_ranks_per_distinct_node() {
-        let spec = MappingSpec::RandomBlock { cores: 4, seed: 3 };
-        assert_eq!(spec.label(), "random-block4");
-        let m = spec.build(24, 27);
-        let mut used = std::collections::BTreeSet::new();
-        for chunk in 0..6 {
-            let node = m.node_of(chunk * 4);
-            for r in chunk * 4..chunk * 4 + 4 {
-                assert_eq!(m.node_of(r), node, "rank {r} off its chunk's node");
-            }
-            assert!(used.insert(node.0), "node {} reused across chunks", node.0);
-        }
-        let again = MappingSpec::RandomBlock { cores: 4, seed: 3 }.build(24, 27);
-        assert_eq!(m.assignment(), again.assignment());
-    }
 
     #[test]
     fn grid_spec_canonicalizes_spelling_and_order() {

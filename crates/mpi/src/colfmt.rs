@@ -1,7 +1,8 @@
 //! Columnar binary trace format.
 //!
-//! Where `binfmt` interleaves event fields row by row, this codec stores
-//! each field as its own column block with varint/delta encoding, framed
+//! The text format (`dumpi`) is greppable and diffable; this codec is the
+//! storage-efficient sibling for large trace collections. It stores each
+//! event field as its own column block with varint/delta encoding, framed
 //! into independently-decodable chunks:
 //!
 //! ```text
@@ -19,20 +20,17 @@
 //! reader splits on the frame table without scanning payloads, and the
 //! incremental [`ColStreamParser`] retains at most one frame of input.
 //!
-//! Like `binfmt`, malformed input is rejected with absolute byte offsets
-//! and count-driven preallocations are clamped to the remaining input
-//! (`crate::wire::bounded_capacity`).
+//! Malformed input is rejected with absolute byte offsets, and
+//! count-driven preallocations are clamped to the remaining input
+//! (`bounded_capacity`).
 
 use crate::collective::{CollectiveOp, Payload};
 use crate::comm::CommId;
+use crate::datatype::Datatype;
 use crate::error::{MpiError, Result};
 use crate::event::{Event, TimedEvent};
 use crate::rank::Rank;
 use crate::trace::{Trace, TraceBuilder};
-use crate::wire::{
-    bounded_capacity, datatype_code, datatype_from, op_code, put_f64, put_str, put_varint,
-    unzigzag, zigzag,
-};
 use rayon::prelude::*;
 
 /// Magic/version prefix of the columnar format.
@@ -43,6 +41,88 @@ pub const MAGIC: &[u8; 8] = b"NLCOLTR\x01";
 /// 1M-event bench traces and the streaming parser's resident window stays
 /// in the low megabytes.
 pub const COL_CHUNK_EVENTS: usize = 64 * 1024;
+
+// ---- wire primitives -------------------------------------------------
+
+/// Append `v` as a LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Append `v` as 8 little-endian bytes.
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a length-prefixed UTF-8 string.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Zigzag-map a signed delta onto an unsigned varint-friendly value
+/// (small magnitudes of either sign encode in few bytes).
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// A safe preallocation size for counts decoded from untrusted input:
+/// every element still to be parsed takes at least one byte, so a
+/// legitimate count never exceeds the remaining input length. Clamping
+/// the *preallocation* (not the parsed count — oversized counts still
+/// fail later with a byte offset) keeps a corrupted varint from
+/// requesting gigabytes before the first element is even read.
+fn bounded_capacity(count: usize, remaining: usize) -> usize {
+    count.min(remaining)
+}
+
+/// Wire code for a datatype.
+fn datatype_code(dt: Datatype) -> u8 {
+    match dt {
+        Datatype::Byte => 0,
+        Datatype::Short => 1,
+        Datatype::Int => 2,
+        Datatype::Float => 3,
+        Datatype::Long => 4,
+        Datatype::Double => 5,
+        Datatype::Derived => 6,
+    }
+}
+
+/// Decode a datatype wire code; `None` for unknown codes.
+fn datatype_from(code: u8) -> Option<Datatype> {
+    Some(match code {
+        0 => Datatype::Byte,
+        1 => Datatype::Short,
+        2 => Datatype::Int,
+        3 => Datatype::Float,
+        4 => Datatype::Long,
+        5 => Datatype::Double,
+        6 => Datatype::Derived,
+        _ => return None,
+    })
+}
+
+/// Wire code for a collective op: its position in [`CollectiveOp::ALL`].
+fn op_code(op: CollectiveOp) -> u8 {
+    CollectiveOp::ALL
+        .iter()
+        .position(|&o| o == op)
+        .expect("op in ALL") as u8
+}
 
 // ---- writer ----------------------------------------------------------
 
@@ -68,7 +148,7 @@ pub fn write_trace_columnar_chunked(trace: &Trace, chunk_events: usize) -> Vec<u
     put_varint(&mut out, trace.num_ranks as u64);
     put_f64(&mut out, trace.exec_time_s);
 
-    // Sub-communicators (world is implicit), same layout as binfmt.
+    // Sub-communicators (world is implicit).
     put_varint(&mut out, trace.comms.len() as u64 - 1);
     for comm in trace.comms.iter().skip(1) {
         put_varint(&mut out, comm.members.len() as u64);
@@ -296,8 +376,7 @@ impl<'a> ColReader<'a> {
         Ok(s)
     }
 
-    /// Clamped preallocation, shared with `binfmt` via
-    /// [`crate::wire::bounded_capacity`].
+    /// Clamped preallocation (see [`bounded_capacity`]).
     fn bounded_vec<T>(&self, count: usize) -> Vec<T> {
         Vec::with_capacity(bounded_capacity(
             count,
@@ -746,8 +825,6 @@ impl ColStreamParser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binfmt::write_trace_binary;
-    use crate::datatype::Datatype;
     use crate::dumpi::write_trace;
 
     fn sample() -> Trace {
@@ -790,7 +867,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_through_text_and_binary() {
+    fn roundtrips_through_text() {
         let t = sample();
         let text = write_trace(&t);
         let via_text = crate::dumpi::parse_trace(&text).unwrap();
@@ -798,7 +875,7 @@ mod tests {
         let back = parse_trace_columnar(&col).unwrap();
         assert_eq!(back, t);
         assert_eq!(write_trace(&back), text);
-        assert_eq!(write_trace_binary(&back), write_trace_binary(&t));
+        assert_eq!(write_trace_columnar(&back), col);
     }
 
     #[test]
@@ -810,11 +887,10 @@ mod tests {
     }
 
     #[test]
-    fn columnar_is_smaller_than_text_and_binary() {
+    fn columnar_is_smaller_than_text() {
         let t = bigger();
         let col = write_trace_columnar(&t);
         assert!(col.len() < write_trace(&t).len());
-        assert!(col.len() < write_trace_binary(&t).len());
     }
 
     #[test]
@@ -924,5 +1000,35 @@ mod tests {
         assert!(p.push(b"NO").is_err());
         let mut p = ColStreamParser::new();
         assert!(p.push(b"NLDUMPI\x01rest").is_err());
+    }
+
+    #[test]
+    fn zigzag_roundtrips_extremes() {
+        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 1 << 40, -(1 << 40)] {
+            assert_eq!(unzigzag(zigzag(v)), v, "value {v}");
+        }
+    }
+
+    #[test]
+    fn datatype_codes_roundtrip() {
+        for dt in [
+            Datatype::Byte,
+            Datatype::Short,
+            Datatype::Int,
+            Datatype::Float,
+            Datatype::Long,
+            Datatype::Double,
+            Datatype::Derived,
+        ] {
+            assert_eq!(datatype_from(datatype_code(dt)), Some(dt));
+        }
+        assert_eq!(datatype_from(7), None);
+    }
+
+    #[test]
+    fn bounded_capacity_clamps() {
+        assert_eq!(bounded_capacity(10, 4), 4);
+        assert_eq!(bounded_capacity(3, 100), 3);
+        assert_eq!(bounded_capacity(0, 0), 0);
     }
 }

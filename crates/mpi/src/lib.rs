@@ -8,8 +8,10 @@
 //! messages and collective operations over communicators), a compact
 //! aggregated trace container, per-trace statistics matching the paper's
 //! Table 1 columns, the paper's collective→point-to-point translation rules
-//! (§4.4), and a plain-text serialization loosely modeled after the SST
-//! `dumpi` ASCII dumps, with a writer and a parser.
+//! (§4.4), a plain-text serialization loosely modeled after the SST
+//! `dumpi` ASCII dumps, and a chunked columnar binary format ([`colfmt`]),
+//! each with a writer and a parser; [`parse_trace_auto`] picks the parser
+//! from the magic prefix.
 //!
 //! ## Quick example
 //!
@@ -27,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod binfmt;
 pub mod colfmt;
 pub mod collective;
 pub mod comm;
@@ -41,9 +42,7 @@ pub mod rank;
 pub mod stats;
 pub mod trace;
 pub mod transform;
-mod wire;
 
-pub use binfmt::{parse_trace_binary, write_trace_binary};
 pub use colfmt::{
     parse_trace_columnar, write_trace_columnar, write_trace_columnar_chunked, ColStreamParser,
     COL_CHUNK_EVENTS,
@@ -61,3 +60,14 @@ pub use mapped::MappedFile;
 pub use rank::Rank;
 pub use stats::TraceStats;
 pub use trace::{Trace, TraceBuilder};
+
+/// Parse trace bytes in whichever format the magic prefix announces:
+/// columnar ([`colfmt::MAGIC`]) or, for anything else, the dumpi text
+/// dialect. Both parsers are chunk-parallel.
+pub fn parse_trace_auto(bytes: &[u8]) -> Result<Trace> {
+    if bytes.starts_with(colfmt::MAGIC) {
+        parse_trace_columnar(bytes)
+    } else {
+        parse_trace_bytes(bytes)
+    }
+}

@@ -56,11 +56,22 @@ impl Trace {
         }
         for (i, te) in self.events.iter().enumerate() {
             match &te.event {
-                Event::Send { src, dst, .. } => {
+                Event::Send {
+                    src,
+                    dst,
+                    count,
+                    datatype,
+                    ..
+                } => {
                     if src.0 >= self.num_ranks || dst.0 >= self.num_ranks {
                         return Err(MpiError::Invalid(format!(
                             "event {i}: rank out of range ({src} -> {dst}, {} ranks)",
                             self.num_ranks
+                        )));
+                    }
+                    if count.checked_mul(datatype.size_bytes()).is_none() {
+                        return Err(MpiError::Invalid(format!(
+                            "event {i}: message volume overflows 64 bits"
                         )));
                     }
                 }
@@ -92,6 +103,16 @@ impl Trace {
                                 c.size()
                             )));
                         }
+                    }
+                    // `Payload::total` must be representable.
+                    let total = match payload {
+                        Payload::Uniform(b) => b.checked_mul(c.size() as u64),
+                        Payload::PerRank(v) => v.iter().try_fold(0u64, |a, &b| a.checked_add(b)),
+                    };
+                    if total.is_none() {
+                        return Err(MpiError::Invalid(format!(
+                            "event {i}: collective payload overflows 64 bits"
+                        )));
                     }
                     if let Some(m) = bad_member[comm.0 as usize] {
                         return Err(MpiError::Invalid(format!(
@@ -294,6 +315,31 @@ mod tests {
         let mut b = TraceBuilder::new("bad", 3);
         b.collective(CollectiveOp::Bcast, Some(3), Payload::Uniform(1), 1);
         assert!(b.build().validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_volumes_that_overflow() {
+        let mut b = TraceBuilder::new("bad", 2);
+        b.send_typed(Rank(0), Rank(1), u64::MAX / 4, Datatype::Double, 0, 1);
+        assert!(b.build().validate().is_err());
+        let mut b = TraceBuilder::new("bad", 3);
+        let payload = Payload::Uniform(u64::MAX / 2);
+        b.collective(CollectiveOp::ReduceScatter, None, payload, 1);
+        assert!(b.build().validate().is_err());
+        let mut b = TraceBuilder::new("bad", 2);
+        let payload = Payload::PerRank(vec![u64::MAX, 1]);
+        b.collective(CollectiveOp::Alltoallv, None, payload, 1);
+        assert!(b.build().validate().is_err());
+        // The largest representable volumes still validate.
+        let mut b = TraceBuilder::new("edge", 2);
+        b.send_typed(Rank(0), Rank(1), u64::MAX / 8, Datatype::Double, 0, 1);
+        b.collective(
+            CollectiveOp::Bcast,
+            Some(0),
+            Payload::Uniform(u64::MAX / 2),
+            1,
+        );
+        b.build().validate().unwrap();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every parse step reports *where* it failed: JSON body errors carry the
 //! byte offset from the vendored parser, trace errors reuse the
 //! `netloc_mpi` error types (line numbers for dumpi text, byte offsets for
-//! the binary format), and spec errors echo the offending spec string.
+//! the columnar format), and spec errors echo the offending spec string.
 //! Handlers never panic on request content — specs are validated before
 //! any constructor runs — so a worker thread survives arbitrary input.
 
@@ -16,8 +16,8 @@ use crate::server::AppState;
 use crate::store::{DiskStoreStats, Kind};
 use netloc_core::canon::{canonical_json, content_digest, digest_hex};
 use netloc_core::sweep::GridSpec;
-use netloc_core::{ingest_trace, ingest_trace_bytes, IngestResult};
-use netloc_mpi::Trace;
+use netloc_core::{ingest_trace, IngestResult, MAX_WINDOWS};
+use netloc_mpi::{parse_trace_auto, Trace};
 use netloc_topology::{MappingSpec, RoutedTopology, TopologySpec};
 use serde::{Serialize, Value};
 use std::sync::atomic::Ordering;
@@ -299,8 +299,8 @@ fn register_trace(state: &AppState, body: &[u8]) -> Response {
     if body.is_empty() {
         return Response::error(400, "empty trace upload");
     }
-    let ingest = match netloc_core::ingest_trace_bytes(body) {
-        Ok(r) => r,
+    let ingest = match parse_trace_auto(body) {
+        Ok(trace) => ingest_trace(trace),
         Err(e) => return Response::error(400, &format!("bad trace: {e}")),
     };
     state.traces_ingested.fetch_add(1, Ordering::Relaxed);
@@ -330,10 +330,10 @@ fn register_trace(state: &AppState, body: &[u8]) -> Response {
 /// The first 8 body bytes decide the lane: the columnar magic streams
 /// every subsequent chunk through [`netloc_mpi::ColStreamParser`],
 /// retaining only the current partial column chunk; anything else (dumpi
-/// text, the row binary format) is buffered whole, exactly like a
-/// `Content-Length` upload. Either way the worker's in-flight reservation
-/// tracks what the sink actually holds, so a multi-GB canonical columnar
-/// upload costs O(one chunk) of resident memory instead of O(file).
+/// text) is buffered whole, exactly like a `Content-Length` upload.
+/// Either way the worker's in-flight reservation tracks what the sink
+/// actually holds, so a multi-GB canonical columnar upload costs O(one
+/// chunk) of resident memory instead of O(file).
 pub(crate) struct TraceUploadSink {
     lane: UploadLane,
 }
@@ -510,7 +510,8 @@ fn decode_trace(state: &AppState, fields: &[(String, Value)]) -> Result<Analysis
             ))
         }
         (Some(text), None, None) => {
-            let ingest = ingest_trace_bytes(text.as_bytes())
+            let ingest = parse_trace_auto(text.as_bytes())
+                .map(ingest_trace)
                 .map_err(|e| Response::error(400, &format!("bad trace: {e}")))?;
             AnalysisInput {
                 ingest,
@@ -532,7 +533,8 @@ fn decode_trace(state: &AppState, fields: &[(String, Value)]) -> Result<Analysis
                 .map(|(bytes, _)| bytes)
                 .filter(|bytes| digest_hex(content_digest(bytes)) == digest)
                 .ok_or_else(|| unknown_digest(digest))?;
-            let ingest = ingest_trace_bytes(&bytes)
+            let ingest = parse_trace_auto(&bytes)
+                .map(ingest_trace)
                 .map_err(|e| Response::error(400, &format!("bad registered trace: {e}")))?;
             AnalysisInput {
                 ingest,
@@ -579,16 +581,13 @@ fn decode_mapping(fields: &[(String, Value)]) -> Result<MappingSpec, Response> {
         .map_err(|e| Response::error(400, &format!("{e}")))
 }
 
-/// Ceiling on the optional `"windows"` count: windows beyond the event
-/// count are empty rows, and 4096 already renders a generous timeline.
-const MAX_WINDOWS: u64 = 4096;
-
-/// Decode the optional `"windows": N` field of `analyze`/`stats`.
+/// Decode the optional `"windows": N` field of `analyze`/`stats`
+/// (bounded by [`MAX_WINDOWS`]).
 fn decode_windows(fields: &[(String, Value)]) -> Result<Option<usize>, Response> {
     match field(fields, "windows") {
         None | Some(Value::Null) => Ok(None),
         Some(v) => match u64_from(v) {
-            Some(n) if (1..=MAX_WINDOWS).contains(&n) => Ok(Some(n as usize)),
+            Some(n) if (1..=MAX_WINDOWS as u64).contains(&n) => Ok(Some(n as usize)),
             _ => Err(Response::error(
                 400,
                 &format!("'windows' must be an integer in 1..={MAX_WINDOWS}"),

@@ -473,8 +473,7 @@ impl MappingSpec {
                 fits(needed)?;
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(*seed);
                 // Partial Fisher–Yates: the first `needed` entries become a
-                // uniform random sample of distinct nodes (same scheme as
-                // `netloc_core::sweep`, kept bit-compatible).
+                // uniform random sample of distinct nodes.
                 let mut pool: Vec<u32> = (0..nodes as u32).collect();
                 for i in 0..needed {
                     let j = rng.gen_range(i..pool.len());
@@ -709,9 +708,10 @@ mod tests {
         let spec: MappingSpec = "random:9".parse().unwrap();
         let a = spec.build(20, 27).unwrap();
         let b = spec.build(20, 27).unwrap();
-        for r in 0..20 {
-            assert_eq!(a.node_of(r), b.node_of(r));
-        }
+        let c = MappingSpec::Random { seed: 10 }.build(20, 27).unwrap();
+        let nodes = |m: &Mapping| (0..20).map(|r| m.node_of(r)).collect::<Vec<_>>();
+        assert_eq!(nodes(&a), nodes(&b));
+        assert_ne!(nodes(&a), nodes(&c), "different seeds, same mapping");
         assert!(spec.build(28, 27).is_err(), "random overfit accepted");
         assert!(MappingSpec::Consecutive.build(28, 27).is_err());
         assert!(MappingSpec::Block { cores: 4 }.build(28, 27).is_ok());
@@ -719,6 +719,25 @@ mod tests {
             MappingSpec::Greedy.build(4, 27).is_err(),
             "greedy needs traffic"
         );
+    }
+
+    #[test]
+    fn random_block_spec_packs_cores_ranks_per_distinct_node() {
+        let spec: MappingSpec = "random-block:4,3".parse().unwrap();
+        let m = spec.build(24, 27).unwrap();
+        let mut used = std::collections::BTreeSet::new();
+        for chunk in 0..6 {
+            let node = m.node_of(chunk * 4);
+            for r in chunk * 4..chunk * 4 + 4 {
+                assert_eq!(m.node_of(r), node, "rank {r} off its chunk's node");
+            }
+            assert!(used.insert(node.0), "node {} reused across chunks", node.0);
+        }
+        let again = MappingSpec::RandomBlock { cores: 4, seed: 3 }
+            .build(24, 27)
+            .unwrap();
+        assert_eq!(m.assignment(), again.assignment());
+        assert!(spec.build(24, 5).is_err(), "6 nodes needed, 5 available");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `netloc` — command-line network-locality analysis for MPI traces.
 //!
 //! ```text
-//! netloc generate <app> <ranks> [-o FILE] [--binary] [--scaled]
-//! netloc convert  <TRACE> [-o FILE] [--to columnar|binary|text]
+//! netloc generate <app> <ranks> [-o FILE] [--scaled]
+//! netloc convert  <TRACE> [-o FILE] [--to columnar|text]
 //!                                             transcode between the trace formats
 //!                                             (columnar is the chunked binary
 //!                                             format built for streaming ingest)
@@ -39,9 +39,12 @@
 //!                                             references, over a seeded corpus
 //! ```
 //!
-//! `TRACE` is a file in the dumpi-like text format (see `netloc_mpi::dumpi`);
-//! `-` reads from stdin. Topology SPECs (parsed by `netloc_topology::spec`,
-//! shared with the analysis service):
+//! `TRACE` is a file in the dumpi-like text format (see `netloc_mpi::dumpi`)
+//! or the columnar format (see `netloc_mpi::colfmt`), told apart by magic
+//! bytes; `-` reads from stdin. Window and bin counts (`--windows`,
+//! `--bins`) are bounded by `netloc_core::MAX_WINDOWS`, the service's bound.
+//! Topology SPECs (parsed by `netloc_topology::spec`, shared with the
+//! analysis service):
 //!
 //! ```text
 //! torus:X,Y,Z      fattree:RADIX,STAGES      dragonfly:A,H,P
@@ -60,10 +63,10 @@
 use netloc::core::canon::canonical_json;
 use netloc::core::metrics::{dimensionality, peers, rank_locality, selectivity};
 use netloc::core::{
-    analyze_network, classes, heatmap, ingest_trace_bytes, ingest_trace_path, timeline::Timeline,
-    windowed_ingest, IngestResult, TrafficMatrix,
+    analyze_network, classes, heatmap, ingest_trace, timeline::Timeline, windowed_ingest,
+    IngestResult, TrafficMatrix, MAX_WINDOWS,
 };
-use netloc::mpi::{write_trace, write_trace_binary, write_trace_columnar, Trace};
+use netloc::mpi::{parse_trace_auto, write_trace, write_trace_columnar, MappedFile, Trace};
 use netloc::service::payload::{MetricsResponse, StatsResponse};
 use netloc::topology::optimize::greedy_mapping;
 use netloc::topology::{MappingSpec, RoutedTopology, Topology, TopologySpec};
@@ -81,7 +84,7 @@ fn main() {
     match cmd.as_str() {
         "generate" => generate(rest),
         "convert" => convert_cmd(rest),
-        "stats" => stats(&load_ingest(rest), rest),
+        "stats" => stats(rest),
         "metrics" => metrics(&load_ingest(rest), rest),
         "analyze" => analyze(rest),
         "replay" => replay(rest),
@@ -114,12 +117,23 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Read, parse, and fold a trace in one pass. The format (dumpi text,
-/// row binary, columnar) is detected by magic bytes; files are mapped
-/// into memory rather than copied, so a multi-GB trace parses with
-/// O(chunk) extra resident memory; the traffic matrices plus Table 1
-/// stats come out of the same fused fold the service uses.
-fn load_ingest(args: &[String]) -> IngestResult {
+/// A count flag bounded to `min..=MAX_WINDOWS` (absent: `None`); any
+/// other value exits 2 with a usage message.
+fn count_flag(args: &[String], name: &str, min: usize) -> Option<usize> {
+    let value = flag_value(args, name)?;
+    match value.parse() {
+        Ok(n) if (min..=MAX_WINDOWS).contains(&n) => Some(n),
+        _ => {
+            eprintln!("usage: {name} takes an integer in {min}..={MAX_WINDOWS}, not '{value}'");
+            exit(2);
+        }
+    }
+}
+
+/// Read and decode a trace. The format (dumpi text or columnar) is
+/// detected by magic bytes; files are mapped into memory rather than
+/// copied, so a multi-GB trace parses with O(chunk) extra resident memory.
+fn load_trace(args: &[String]) -> Trace {
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         eprintln!("missing trace file argument");
         exit(2);
@@ -130,21 +144,20 @@ fn load_ingest(args: &[String]) -> IngestResult {
             eprintln!("failed to read stdin");
             exit(1);
         }
-        ingest_trace_bytes(&buf)
+        parse_trace_auto(&buf)
     } else {
-        ingest_trace_path(std::path::Path::new(path))
+        MappedFile::open(std::path::Path::new(path)).and_then(|m| parse_trace_auto(m.bytes()))
     };
-    match parsed {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            exit(1);
-        }
-    }
+    parsed.unwrap_or_else(|e| {
+        eprintln!("cannot parse {path}: {e}");
+        exit(1);
+    })
 }
 
-fn load_trace(args: &[String]) -> Trace {
-    load_ingest(args).trace
+/// Decode a trace, then fold it into traffic matrices and Table 1 stats
+/// with the same fused ingest the service uses.
+fn load_ingest(args: &[String]) -> IngestResult {
+    ingest_trace(load_trace(args))
 }
 
 fn generate(args: &[String]) {
@@ -181,11 +194,7 @@ fn generate(args: &[String]) {
     } else {
         app.generate(ranks)
     };
-    let payload: Vec<u8> = if args.iter().any(|a| a == "--binary") {
-        write_trace_binary(&trace)
-    } else {
-        write_trace(&trace).into_bytes()
-    };
+    let payload = write_trace(&trace).into_bytes();
     match flag_value(args, "-o") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, payload) {
@@ -201,20 +210,20 @@ fn generate(args: &[String]) {
     }
 }
 
-/// `netloc convert` — transcode a trace between the dumpi text, row
-/// binary, and columnar formats (default: columnar). Round-tripping
-/// through any format reproduces the same events byte-for-byte.
+/// `netloc convert` — transcode a trace between the dumpi text and
+/// columnar formats (default: columnar). Round-tripping through either
+/// format reproduces the same events byte-for-byte.
 fn convert_cmd(args: &[String]) {
-    let trace = load_trace(args);
     let to = flag_value(args, "--to").unwrap_or("columnar");
-    let payload: Vec<u8> = match to {
-        "columnar" => write_trace_columnar(&trace),
-        "binary" => write_trace_binary(&trace),
-        "text" => write_trace(&trace).into_bytes(),
-        other => {
-            eprintln!("unknown format '{other}' (expected columnar|binary|text)");
-            exit(2);
-        }
+    if to != "columnar" && to != "text" {
+        eprintln!("unknown format '{to}' (expected columnar|text)");
+        exit(2);
+    }
+    let trace = load_trace(args);
+    let payload: Vec<u8> = if to == "columnar" {
+        write_trace_columnar(&trace)
+    } else {
+        write_trace(&trace).into_bytes()
     };
     match flag_value(args, "-o") {
         Some(path) => {
@@ -231,11 +240,10 @@ fn convert_cmd(args: &[String]) {
     }
 }
 
-fn stats(ing: &IngestResult, args: &[String]) {
+fn stats(args: &[String]) {
+    let windows = count_flag(args, "--windows", 1);
+    let ing = load_ingest(args);
     let trace = &ing.trace;
-    let windows: Option<usize> = flag_value(args, "--windows")
-        .and_then(|s| s.parse().ok())
-        .filter(|n| *n >= 1);
     if args.iter().any(|a| a == "--json") {
         let base = StatsResponse::from_parts(trace, &ing.stats);
         let rendered = match windows {
@@ -480,6 +488,8 @@ fn heatmap_cmd(args: &[String]) {
 
 fn simulate_cmd(args: &[String]) {
     use netloc::sim::{simulate_trace, SimConfig};
+    // 0 windows means no congestion profile.
+    let report_windows = count_flag(args, "--windows", 0);
     let ing = load_ingest(args);
     let trace = &ing.trace;
     let spec = flag_value(args, "--topology").unwrap_or("auto");
@@ -503,9 +513,7 @@ fn simulate_cmd(args: &[String]) {
             .and_then(|s| s.parse().ok())
             .unwrap_or(2_000_000),
         mapping,
-        report_windows: flag_value(args, "--windows")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| SimConfig::default().report_windows),
+        report_windows: report_windows.unwrap_or_else(|| SimConfig::default().report_windows),
         ..Default::default()
     };
     let rep = simulate_trace(trace, topo.as_ref(), &cfg);
@@ -784,10 +792,8 @@ fn verify_cmd(args: &[String]) {
 }
 
 fn timeline_cmd(args: &[String]) {
+    let bins = count_flag(args, "--bins", 1).unwrap_or(32);
     let trace = load_trace(args);
-    let bins: usize = flag_value(args, "--bins")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
     let tl = Timeline::compute(&trace, bins);
     println!("window: {:.4} s, bins: {bins}", tl.window_s);
     println!("mean injected/window: {:.2} MB", tl.mean() / 1e6);

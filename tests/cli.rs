@@ -13,6 +13,14 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A well-formed empty 8-rank trace in the retired row-binary layout:
+/// magic, app name, rank count, exec time 1.0, no communicators, no events.
+const ROW_BINARY_TRACE: &[u8] = b"NLDUMPI\x01\x04demo\x08\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\x00";
+
 fn tmp(name: &str) -> String {
     let dir = std::env::temp_dir().join("netloc-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -41,22 +49,20 @@ fn generate_stats_metrics_pipeline() {
 #[test]
 fn binary_and_text_formats_agree() {
     let text_path = tmp("cr100.nld");
-    let bin_path = tmp("cr100.bin");
+    let col_path = tmp("cr100.col");
     assert!(netloc(&["generate", "crystal", "100", "-o", &text_path])
         .status
         .success());
-    assert!(
-        netloc(&["generate", "crystal", "100", "--binary", "-o", &bin_path])
-            .status
-            .success()
-    );
+    assert!(netloc(&["convert", &text_path, "-o", &col_path])
+        .status
+        .success());
     let a = stdout(&netloc(&["metrics", &text_path]));
-    let b = stdout(&netloc(&["metrics", &bin_path]));
+    let b = stdout(&netloc(&["metrics", &col_path]));
     assert_eq!(a, b);
-    // binary file is smaller
+    // the columnar file is smaller
     let ts = std::fs::metadata(&text_path).unwrap().len();
-    let bs = std::fs::metadata(&bin_path).unwrap().len();
-    assert!(bs < ts, "binary {bs} vs text {ts}");
+    let cs = std::fs::metadata(&col_path).unwrap().len();
+    assert!(cs < ts, "columnar {cs} vs text {ts}");
 }
 
 #[test]
@@ -156,6 +162,48 @@ fn malformed_trace_file_is_rejected() {
     std::fs::write(&path, "definitely not a trace").unwrap();
     let out = netloc(&["stats", &path]);
     assert!(!out.status.success());
+
+    // The retired row-binary format falls through to the text parser,
+    // which rejects it cleanly.
+    let path = tmp("rowbinary.nld");
+    std::fs::write(&path, ROW_BINARY_TRACE).unwrap();
+    let out = netloc(&["stats", &path]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(stderr(&out).contains("cannot parse"), "{out:?}");
+    assert!(!stderr(&out).contains("panicked"), "{out:?}");
+}
+
+#[test]
+fn count_flags_are_bounded() {
+    let path = tmp("bounds64.nld");
+    assert!(netloc(&["generate", "lulesh", "64", "-o", &path])
+        .status
+        .success());
+    for args in [
+        ["timeline", &path, "--bins", "0"],
+        ["timeline", &path, "--bins", "4097"],
+        ["stats", &path, "--windows", "0"],
+        ["stats", &path, "--windows", "abc"],
+        ["stats", &path, "--windows", "100000000"],
+        ["simulate", &path, "--windows", "1000000000"],
+        ["simulate", &path, "--windows", "-1"],
+    ] {
+        let out = netloc(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(stderr(&out).contains("usage"), "{args:?}: {out:?}");
+    }
+    // The bound itself is accepted.
+    let out = netloc(&["stats", &path, "--windows", "4096"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout(&out).contains("4096 windows"));
+    // `simulate --windows 0` still means "no congestion profile".
+    let fft = tmp("bounds-fft9.nld");
+    assert!(netloc(&["generate", "bigfft", "9", "-o", &fft])
+        .status
+        .success());
+    let out = netloc(&["simulate", &fft, "--windows", "0"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(!stdout(&out).contains("congestion profile"));
 }
 
 #[test]

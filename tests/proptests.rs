@@ -244,10 +244,6 @@ fn dumpi_roundtrip_random_traces() {
         let trace = b.build();
         let parsed = parse_trace(&write_trace(&trace)).unwrap();
         assert_eq!(&parsed, &trace);
-        // ...and the binary codec must agree byte-for-byte on semantics.
-        let bin = netloc::mpi::write_trace_binary(&trace);
-        let parsed_bin = netloc::mpi::parse_trace_binary(&bin).unwrap();
-        assert_eq!(parsed_bin, trace);
         // ...and so must the columnar codec, at any chunking: the frame
         // size changes the wire layout but never the decoded trace.
         let col = netloc::mpi::write_trace_columnar(&trace);
@@ -375,71 +371,6 @@ fn dumpi_parser_survives_mutation() {
     });
 }
 
-/// The binary parser never panics on mutated input either.
-#[test]
-fn binary_parser_survives_mutation() {
-    check("binary_parser_survives_mutation", |rng| {
-        let mut b = TraceBuilder::new("fuzz", 6).exec_time_s(1.0);
-        b.send(Rank(0), Rank(1), 4096, 3);
-        b.collective(
-            CollectiveOp::Gatherv,
-            Some(2),
-            Payload::PerRank(vec![1, 2, 3, 4, 5, 6]),
-            2,
-        );
-        let mut bin = netloc::mpi::write_trace_binary(&b.build());
-        for _ in 0..rng.gen_range(1usize..8) {
-            let idx = rng.gen_range(0usize..4096) % bin.len();
-            bin[idx] = rng.gen_range(0u8..255);
-        }
-        if let Ok(t) = netloc::mpi::parse_trace_binary(&bin) {
-            assert!(t.validate().is_ok());
-        }
-    });
-}
-
-/// The binary parser survives truncation and bit flips over the whole
-/// corpus — the hardening the analysis service relies on when it parses
-/// untrusted uploads. Every corruption must yield either a clean `Err`
-/// (with a byte offset) or a trace that still validates; never a panic,
-/// and never an allocation driven by a corrupted count.
-#[test]
-fn binary_parser_survives_corpus_corruption() {
-    let corpus: Vec<Vec<u8>> = netloc::testkit::default_corpus()
-        .iter()
-        .map(|cfg| netloc::mpi::write_trace_binary(&cfg.build_trace()))
-        .collect();
-    assert!(!corpus.is_empty());
-    check("binary_parser_survives_corpus_corruption", |rng| {
-        let base = &corpus[rng.gen_range(0..corpus.len())];
-        let mut bin = base.clone();
-        // Truncate to a random prefix about half the time: every
-        // prefix length, including zero, must fail cleanly.
-        if rng.gen_range(0u8..2) == 0 {
-            bin.truncate(rng.gen_range(0..=bin.len()));
-        }
-        // ...and flip up to 16 random bits. Varint length bytes and
-        // count fields are prime targets here; a flipped high bit can
-        // turn a small count into a multi-gigabyte one.
-        if !bin.is_empty() {
-            for _ in 0..rng.gen_range(0usize..16) {
-                let idx = rng.gen_range(0..bin.len());
-                bin[idx] ^= 1 << rng.gen_range(0u32..8);
-            }
-        }
-        match netloc::mpi::parse_trace_binary(&bin) {
-            Ok(t) => assert!(t.validate().is_ok()),
-            Err(e) => {
-                let msg = e.to_string();
-                assert!(
-                    !msg.is_empty(),
-                    "parse error must carry a diagnostic: {msg}"
-                );
-            }
-        }
-    });
-}
-
 /// The parallel ingest pipeline is a pure function of the trace bytes:
 /// whatever the rayon worker count (1, 2, or the machine default) and
 /// whatever the chunk size, the parsed trace, both traffic matrices, and
@@ -550,33 +481,36 @@ fn sim_invariant_under_workers_windows_and_order() {
     });
 }
 
-/// `expand_trace` survives truncation and bit flips over the whole binary
-/// corpus: every corruption yields either a clean parse error or a trace
-/// whose expansion respects the hard `max_injections` bound — never a
+/// `expand_trace` survives truncation and bit flips over the whole
+/// columnar corpus: every corruption yields either a clean parse error or a
+/// trace whose expansion respects the hard `max_injections` bound — never a
 /// panic, and never an expansion driven past the cap by a corrupted
-/// repeat count.
+/// repeat count. A few flips per case (not more) keep enough corrupted
+/// traces decodable to reach `expand_trace`.
 #[test]
 fn expand_trace_survives_corpus_corruption() {
     use netloc::sim::expand_trace;
     let corpus: Vec<Vec<u8>> = netloc::testkit::default_corpus()
         .iter()
-        .map(|cfg| netloc::mpi::write_trace_binary(&cfg.build_trace()))
+        .map(|cfg| netloc::mpi::write_trace_columnar(&cfg.build_trace()))
         .collect();
     assert!(!corpus.is_empty());
+    let mut expanded = 0;
     check("expand_trace_survives_corpus_corruption", |rng| {
         let mut bin = corpus[rng.gen_range(0..corpus.len())].clone();
         if rng.gen_range(0u8..2) == 0 {
             bin.truncate(rng.gen_range(0..=bin.len()));
         }
         if !bin.is_empty() {
-            for _ in 0..rng.gen_range(1usize..16) {
+            for _ in 0..rng.gen_range(1usize..4) {
                 let idx = rng.gen_range(0..bin.len());
                 bin[idx] ^= 1 << rng.gen_range(0u32..8);
             }
         }
         // Corruption that still parses must still expand within bounds —
         // whatever the (possibly huge) corrupted byte counts and repeats.
-        if let Ok(trace) = netloc::mpi::parse_trace_binary(&bin) {
+        if let Ok(trace) = netloc::mpi::parse_trace_columnar(&bin) {
+            expanded += 1;
             let max = rng.gen_range(1usize..300);
             let (injections, stride) = expand_trace(&trace, max);
             assert!(
@@ -587,6 +521,10 @@ fn expand_trace_survives_corpus_corruption() {
             assert!(stride >= 1);
         }
     });
+    assert!(
+        expanded >= 4,
+        "only {expanded} corrupted traces reached expand_trace"
+    );
 }
 
 /// The chunked byte parser agrees with the sequential reference parser on

@@ -186,6 +186,17 @@ fn malformed_chunked_frames_get_structured_400s() {
     assert_eq!(resp.status, 400, "{}", resp.body_str());
     assert!(resp.body_str().contains("bad trace"), "{}", resp.body_str());
 
+    // A well-formed empty trace in the retired row-binary layout is not a
+    // trace format any more: streamed or whole, it is a text parse error.
+    let row_binary: &[u8] = b"NLDUMPI\x01\x04demo\x08\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\x00";
+    for resp in [
+        client::post_chunked(addr, "/v1/traces", row_binary, 5).unwrap(),
+        post_bytes(addr, "/v1/traces", row_binary),
+    ] {
+        assert_eq!(resp.status, 400, "{}", resp.body_str());
+        assert!(resp.body_str().contains("bad trace"), "{}", resp.body_str());
+    }
+
     server.shutdown();
 }
 
