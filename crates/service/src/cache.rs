@@ -9,15 +9,21 @@
 //! seven block on the lock and then share the finished `Arc`. Which table
 //! a machine gets is the topology crate's [`StoragePlan`]; machines it
 //! routes with lazy rows are never cached, and the caller builds those
-//! rows per request.
+//! rows per request. The level is bounded: finished tables are LRU-evicted
+//! by `memory_bytes()` until all but the largest fit a fixed 64 MiB, so
+//! one table of any size the plan caches stays beside the small ones.
+//! The table just filled is never evicted, and an evicted spec is
+//! restored from the store or rebuilt on its next use.
 //!
 //! **Level 2 — [`ResultCache`]:** content-addressed response bytes. The key
-//! is the canonical string `digest(trace)|topology|mapping` (specs in their
-//! canonical `Display` form, so `torus:04,4,4` and `torus:4,4,4` share an
-//! entry); the index is its fxhash. FxHash is not collision-resistant, so a
-//! lookup only counts as a hit when the stored full key matches — a
-//! colliding entry is treated as a miss and overwritten. Eviction is LRU by
-//! total cached bytes.
+//! is [`analysis_key`]: `analyze|digest(trace)|topology|mapping` (specs in
+//! their canonical `Display` form, so `torus:04,4,4` and `torus:4,4,4`
+//! share an entry); the index is its fxhash. FxHash is not
+//! collision-resistant, so a lookup only counts as a hit when the stored
+//! full key matches — a colliding entry is treated as a miss and
+//! overwritten. Eviction is LRU by total cached bytes. The key needs only
+//! the digest of the trace source, so `/v1/analyze` looks it up before it
+//! reads, decodes or folds the trace.
 //!
 //! **Durability (PR 7):** both levels can be backed by the persistent
 //! [`DiskStore`]. The in-memory layer is then read-through/write-behind:
@@ -28,11 +34,12 @@
 //! and cached responses come back byte-identical (see [`tiered_get`]).
 
 use crate::store::{DiskStore, Kind};
-use netloc_core::canon::content_digest;
+use netloc_core::canon::{content_digest, digest_hex};
 use netloc_topology::routetable::StoragePlan;
 use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, Topology};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -75,6 +82,14 @@ impl SharedRoutes {
         RouteTable::from_bytes(bytes).map(|t| SharedRoutes::Flat(Arc::new(t)))
     }
 
+    /// Exact heap footprint of the table, the unit of the cache budget.
+    pub fn memory_bytes(&self) -> usize {
+        match self {
+            SharedRoutes::Flat(t) => t.memory_bytes(),
+            SharedRoutes::Compressed(t) => t.memory_bytes(),
+        }
+    }
+
     /// Wrap `topo` with this cached storage.
     pub fn routed<'a>(&self, topo: &'a dyn Topology) -> RoutedTopology<'a> {
         match self {
@@ -86,23 +101,70 @@ impl SharedRoutes {
     }
 }
 
-/// Level-1 cache: canonical topology spec → shared route storage,
-/// optionally persisted to a [`DiskStore`].
+/// Byte budget of the route-table cache, in `memory_bytes()` of the
+/// finished tables it holds apart from the largest. A dense table of the
+/// paper's largest machine (1 728 nodes) alone is ~114 MiB, so the
+/// largest table is kept out of the sum rather than sized into it.
+pub(crate) const ROUTE_CACHE_BYTES: usize = 64 * 1024 * 1024;
+
+/// One cached spec: its single-flight cell plus the LRU bookkeeping.
+struct Slot {
+    cell: Arc<OnceLock<SharedRoutes>>,
+    /// Clock reading of the last lookup or fill; the smallest goes first.
+    used: u64,
+    /// `memory_bytes()` of the finished routes; `None` while the build is
+    /// in flight, which keeps the slot out of eviction.
+    bytes: Option<usize>,
+}
+
 #[derive(Default)]
+struct Slots {
+    map: HashMap<String, Slot>,
+    clock: u64,
+    /// Sum of `bytes` over the finished slots.
+    bytes: usize,
+}
+
+impl Slots {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// Level-1 cache: canonical topology spec → shared route storage,
+/// optionally persisted to a [`DiskStore`], LRU-bounded by table bytes.
 pub struct TopoCache {
-    cells: Mutex<HashMap<String, Arc<OnceLock<SharedRoutes>>>>,
+    slots: Mutex<Slots>,
+    budget_bytes: usize,
     store: Option<Arc<DiskStore>>,
     builds: AtomicU64,
     from_disk: AtomicU64,
+    evicted: AtomicU64,
+}
+
+impl Default for TopoCache {
+    fn default() -> Self {
+        TopoCache::with_store(None)
+    }
 }
 
 impl TopoCache {
     /// A cache that persists built tables to `store` (when given) and
-    /// deserializes them back on the first request after a restart.
+    /// deserializes them back on the first request after a restart or an
+    /// eviction.
     pub fn with_store(store: Option<Arc<DiskStore>>) -> Self {
+        TopoCache::with_budget(store, ROUTE_CACHE_BYTES)
+    }
+
+    fn with_budget(store: Option<Arc<DiskStore>>, budget_bytes: usize) -> Self {
         TopoCache {
+            slots: Mutex::default(),
+            budget_bytes,
             store,
-            ..TopoCache::default()
+            builds: AtomicU64::new(0),
+            from_disk: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
         }
     }
 
@@ -117,42 +179,99 @@ impl TopoCache {
             StoragePlan::LazyCompressed | StoragePlan::Lazy => return None,
         };
         let cell = {
-            let mut cells = self.cells.lock().expect("topo cache lock");
-            Arc::clone(
-                cells
-                    .entry(canonical_spec.to_string())
-                    .or_insert_with(|| Arc::new(OnceLock::new())),
-            )
-        };
-        let routes = cell.get_or_init(|| {
-            // Read-through: a verified disk entry that decodes to the
-            // planned representation for the same machine size replaces
-            // the expensive build.
-            let restored = self
-                .store
-                .as_ref()
-                .and_then(|store| store.get(Kind::Table, canonical_spec))
-                .and_then(|bytes| SharedRoutes::from_bytes(&bytes).ok())
-                .filter(|routes| {
-                    matches!(routes, SharedRoutes::Flat(_)) == flat
-                        && routes.num_nodes() == topo.num_nodes()
+            let mut slots = self.slots.lock().expect("topo cache lock");
+            let used = slots.tick();
+            let slot = slots
+                .map
+                .entry(canonical_spec.to_string())
+                .or_insert_with(|| Slot {
+                    cell: Arc::new(OnceLock::new()),
+                    used,
+                    bytes: None,
                 });
-            if let Some(routes) = restored {
-                self.from_disk.fetch_add(1, Ordering::Relaxed);
-                return routes;
+            slot.used = used;
+            Arc::clone(&slot.cell)
+        };
+        let mut filled = false;
+        let routes = cell
+            .get_or_init(|| {
+                filled = true;
+                self.fill(canonical_spec, topo, flat)
+            })
+            .clone();
+        if filled {
+            self.account(canonical_spec, routes.memory_bytes());
+        }
+        Some(routes)
+    }
+
+    /// Restore the planned table from the store, or build it and queue it
+    /// for the store.
+    fn fill(&self, canonical_spec: &str, topo: &dyn Topology, flat: bool) -> SharedRoutes {
+        // Read-through: a verified disk entry that decodes to the planned
+        // representation for the same machine size replaces the
+        // expensive build.
+        let restored = self
+            .store
+            .as_ref()
+            .and_then(|store| store.get(Kind::Table, canonical_spec))
+            .and_then(|bytes| SharedRoutes::from_bytes(&bytes).ok())
+            .filter(|routes| {
+                matches!(routes, SharedRoutes::Flat(_)) == flat
+                    && routes.num_nodes() == topo.num_nodes()
+            });
+        if let Some(routes) = restored {
+            self.from_disk.fetch_add(1, Ordering::Relaxed);
+            return routes;
+        }
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        let routes = if flat {
+            SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))
+        } else {
+            SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
+        };
+        if let Some(store) = &self.store {
+            store.put(Kind::Table, canonical_spec, &routes.to_bytes());
+        }
+        routes
+    }
+
+    /// Count the table just filled for `filled_spec`, then evict the least
+    /// recently used finished specs other than it until all but the
+    /// largest finished table fit the budget. The largest can still go
+    /// once it is the least recently used. Callers holding an evicted
+    /// table keep their `Arc`.
+    fn account(&self, filled_spec: &str, bytes: usize) {
+        let mut slots = self.slots.lock().expect("topo cache lock");
+        let used = slots.tick();
+        let slot = slots
+            .map
+            .get_mut(filled_spec)
+            .expect("a slot in flight is never evicted");
+        slot.used = used;
+        slot.bytes = Some(bytes);
+        slots.bytes += bytes;
+        loop {
+            let largest = slots
+                .map
+                .values()
+                .filter_map(|s| s.bytes)
+                .max()
+                .unwrap_or(0);
+            if slots.bytes - largest <= self.budget_bytes {
+                break;
             }
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            let routes = if flat {
-                SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))
-            } else {
-                SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
-            };
-            if let Some(store) = &self.store {
-                store.put(Kind::Table, canonical_spec, &routes.to_bytes());
-            }
-            routes
-        });
-        Some(routes.clone())
+            let victim = slots
+                .map
+                .iter()
+                .filter(|(spec, slot)| slot.bytes.is_some() && spec.as_str() != filled_spec)
+                .min_by_key(|(_, slot)| slot.used)
+                .map(|(spec, _)| spec.clone());
+            let Some(victim) = victim else { break };
+            let slot = slots.map.remove(&victim).expect("victim is cached");
+            slots.bytes -= slot.bytes.expect("victims are finished");
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Route tables actually built so far (disk restores are counted
@@ -167,9 +286,41 @@ impl TopoCache {
         self.from_disk.load(Ordering::Relaxed)
     }
 
-    /// Number of specs with a cache cell (built or in flight).
+    /// Finished tables dropped to stay within the byte budget.
+    pub fn tables_evicted(&self) -> u64 {
+        self.evicted.load(Ordering::Relaxed)
+    }
+
+    /// `memory_bytes()` of the finished tables currently held.
+    pub fn table_bytes(&self) -> usize {
+        self.slots.lock().expect("topo cache lock").bytes
+    }
+
+    /// Number of specs with a cache cell (finished or in flight).
     pub fn specs_cached(&self) -> usize {
-        self.cells.lock().expect("topo cache lock").len()
+        self.slots.lock().expect("topo cache lock").map.len()
+    }
+}
+
+/// The digest naming a generated workload in cache keys: the content
+/// digest of `workload:` followed by its canonical `APP:RANKS` spec.
+pub fn workload_digest(canonical: &str) -> String {
+    digest_hex(content_digest(format!("workload:{canonical}").as_bytes()))
+}
+
+/// The result-cache key of one analysis: the trace source's digest, the
+/// canonical topology and mapping specs, and the window count when one
+/// was asked for. Requests without windows keep the key they had before
+/// windows existed, so caches written then still answer.
+pub fn analysis_key(
+    digest: &str,
+    topology: impl Display,
+    mapping: impl Display,
+    windows: Option<usize>,
+) -> String {
+    match windows {
+        None => format!("analyze|{digest}|{topology}|{mapping}"),
+        Some(n) => format!("analyze|{digest}|{topology}|{mapping}|windows:{n}"),
     }
 }
 
@@ -220,25 +371,32 @@ impl ResultCache {
     /// Look up the exact bytes cached for `key`, refreshing its recency.
     /// Counts a hit or miss either way.
     pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
+        let found = self.refresh(key);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Refresh `key`'s recency, if it is cached, without counting a
+    /// lookup: its user still needs it but not its bytes.
+    pub fn touch(&self, key: &str) {
+        self.refresh(key);
+    }
+
+    fn refresh(&self, key: &str) -> Option<Arc<Vec<u8>>> {
         let hash = content_digest(key.as_bytes());
         let mut s = self.state.lock().expect("result cache lock");
-        match s.entries.get(&hash) {
-            Some(entry) if entry.key == key => {
-                let bytes = Arc::clone(&entry.bytes);
-                let seq = s.next_seq;
-                s.next_seq += 1;
-                s.entries.get_mut(&hash).expect("present").seq = seq;
-                s.recency.push_back((hash, seq));
-                drop(s);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            _ => {
-                drop(s);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let seq = s.next_seq;
+        let entry = s.entries.get_mut(&hash).filter(|entry| entry.key == key)?;
+        entry.seq = seq;
+        let bytes = Arc::clone(&entry.bytes);
+        s.next_seq += 1;
+        s.recency.push_back((hash, seq));
+        Some(bytes)
     }
 
     /// Insert (or replace) the bytes for `key`, evicting least-recently
@@ -385,6 +543,93 @@ mod tests {
     }
 
     #[test]
+    fn topo_cache_stays_within_its_budget_lru_first() {
+        let dir = tmpdir("budget");
+        let store = DiskStore::open(&dir).unwrap();
+        // Every small spec names the same 27-node machine, so those tables
+        // have one size, and the budget holds one of them beside the
+        // largest table. "big" is a 64-node machine, over the budget alone.
+        let topo = Torus3D::new([3, 3, 3]);
+        let big = Torus3D::new([4, 4, 4]);
+        let table = RouteTable::build(&topo).memory_bytes();
+        assert!(RouteTable::build(&big).memory_bytes() > 2 * table);
+        let cache = Arc::new(TopoCache::with_budget(Some(Arc::clone(&store)), table));
+        let fill = |spec: &str| {
+            let machine: &dyn Topology = if spec == "big" { &big } else { &topo };
+            cache.shared_routes(spec, machine).unwrap();
+            // The resident tables, less the largest, fit the budget.
+            let slots = cache.slots.lock().unwrap();
+            let held: Vec<usize> = slots
+                .map
+                .values()
+                .filter_map(|slot| slot.cell.get().map(SharedRoutes::memory_bytes))
+                .collect();
+            let total: usize = held.iter().sum();
+            assert_eq!(slots.bytes, total, "accounted bytes");
+            assert!(
+                total - held.iter().max().unwrap() <= table,
+                "over budget beyond the largest table"
+            );
+        };
+
+        // Single-flight holds under the bound: 8 threads, one build.
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    cache.shared_routes("a", &Torus3D::new([3, 3, 3])).unwrap()
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(cache.tables_built(), 1, "single-flight build");
+
+        // "a" is used after "b" is filled, so "c" evicts "b", not "a".
+        fill("b");
+        fill("a");
+        fill("c");
+        assert_eq!(cache.tables_evicted(), 1);
+        assert_eq!(cache.specs_cached(), 2);
+        fill("a");
+        assert_eq!(cache.tables_built(), 3, "the recently used spec survived");
+
+        // A table larger than the budget evicts the least recently used
+        // small one, "c", and then stays beside "a" while both are in use.
+        fill("big");
+        assert_eq!(cache.tables_evicted(), 2);
+        for spec in ["a", "big", "a"] {
+            fill(spec);
+        }
+        assert_eq!(cache.tables_built(), 4);
+        assert_eq!(cache.tables_evicted(), 2);
+
+        // The evicted spec comes back from the store, not from a build,
+        // and the largest table goes once it is the least recently used.
+        store.flush();
+        fill("b");
+        assert_eq!(cache.tables_from_disk(), 1);
+        assert_eq!(cache.tables_built(), 4);
+        assert_eq!(cache.tables_evicted(), 3);
+        assert_eq!(cache.table_bytes(), 2 * table, "\"big\" was evicted");
+
+        // Without a store it is rebuilt; a budget below one table still
+        // keeps the table just filled.
+        let small = TopoCache::with_budget(None, table / 2);
+        for spec in ["a", "b", "a"] {
+            small.shared_routes(spec, &topo).unwrap();
+            assert_eq!(small.table_bytes(), table);
+        }
+        assert_eq!(small.tables_built(), 3);
+        assert_eq!(small.tables_evicted(), 2);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn topo_cache_declines_oversized_machines() {
         let cache = TopoCache::default();
         // 44³ = 85 184 nodes → 7.3e9 ordered pairs, far over the limit.
@@ -418,6 +663,20 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= 100);
+    }
+
+    #[test]
+    fn result_cache_touch_refreshes_recency_without_a_lookup() {
+        let cache = ResultCache::new(100);
+        cache.insert("a", Arc::new(vec![0u8; 40]));
+        cache.insert("b", Arc::new(vec![0u8; 40]));
+        cache.touch("a");
+        cache.touch("absent");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 0), "a touch is not a lookup");
+        cache.insert("c", Arc::new(vec![0u8; 40]));
+        assert!(cache.get("a").is_some(), "touched entry evicted");
+        assert!(cache.get("b").is_none(), "LRU entry kept");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Handlers never panic on request content — specs are validated before
 //! any constructor runs — so a worker thread survives arbitrary input.
 
-use crate::cache::{tiered_get, tiered_insert, ResultCacheStats};
+use crate::cache::{analysis_key, tiered_get, tiered_insert, workload_digest, ResultCacheStats};
 use crate::http::{json_escape, BodySink, Request, Response};
 use crate::jobs::{self, JobsStats, ShardSpec};
 use crate::limit::RateLimiterStats;
@@ -17,8 +17,9 @@ use crate::store::{DiskStoreStats, Kind};
 use netloc_core::canon::{canonical_json, content_digest, digest_hex};
 use netloc_core::sweep::GridSpec;
 use netloc_core::{ingest_trace, IngestResult, MAX_WINDOWS};
-use netloc_mpi::{parse_trace_auto, Trace};
+use netloc_mpi::parse_trace_auto;
 use netloc_topology::{MappingSpec, RoutedTopology, TopologySpec};
+use netloc_workloads::App;
 use serde::{Serialize, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -255,6 +256,8 @@ struct StatuszResponse {
     rate_limit: RateLimiterStats,
     route_tables_built: u64,
     route_tables_from_disk: u64,
+    route_tables_evicted: u64,
+    route_table_bytes: usize,
     route_table_specs: usize,
     traces_ingested: u64,
     ingest_events: u64,
@@ -281,6 +284,8 @@ fn statusz(state: &AppState) -> Response {
         rate_limit: state.limiter.stats(),
         route_tables_built: state.topo_cache.tables_built(),
         route_tables_from_disk: state.topo_cache.tables_from_disk(),
+        route_tables_evicted: state.topo_cache.tables_evicted(),
+        route_table_bytes: state.topo_cache.table_bytes(),
         route_table_specs: state.topo_cache.specs_cached(),
         traces_ingested: state.traces_ingested.load(Ordering::Relaxed),
         ingest_events: state.ingest_events.load(Ordering::Relaxed),
@@ -432,7 +437,8 @@ pub(crate) fn finish_upload(state: &AppState, sink: TraceUploadSink) -> Response
 }
 
 /// The structured 404 for a digest reference the registry cannot resolve
-/// (never uploaded, evicted from memory, or lost with the store).
+/// (never uploaded, evicted from memory, or lost with the store) when the
+/// request's result is not cached either.
 fn unknown_digest(digest: &str) -> Response {
     let body = format!(
         "{{\n  \"error\": \"no registered trace with that digest; POST /v1/traces first\",\n  \"code\": \"unknown_digest\",\n  \"digest\": {}\n}}\n",
@@ -451,16 +457,6 @@ fn shutdown(state: &AppState) -> Response {
 }
 
 // ---- request decoding ------------------------------------------------
-
-/// The fields shared by every analysis request body: the fused ingest
-/// result (trace + traffic matrices + stats from one pass) and the cache
-/// key component.
-struct AnalysisInput {
-    ingest: IngestResult,
-    /// Hex content digest of the trace *source* (inline text bytes, or the
-    /// canonical workload spec) — the first component of the cache key.
-    digest: String,
-}
 
 fn parse_json_body(body: &[u8]) -> Result<Value, Response> {
     let text = std::str::from_utf8(body).map_err(|e| {
@@ -491,87 +487,100 @@ fn str_field<'a>(fields: &'a [(String, Value)], name: &str) -> Result<Option<&'a
     }
 }
 
-/// Decode the trace source: inline dumpi text (`"trace"`), a generated
-/// workload spec (`"workload": "APP:RANKS"`), or a registry reference
-/// (`"trace_digest"` from an earlier `POST /v1/traces`). Inline text goes
-/// through the chunked zero-copy parser; every source is folded into
-/// traffic matrices and stats in the same pass.
-fn decode_trace(state: &AppState, fields: &[(String, Value)]) -> Result<AnalysisInput, Response> {
+/// Where a request's trace comes from, named by the digest that leads its
+/// cache keys. Finding it is cheap: the one-of check plus one hash of the
+/// inline text or one parse of the workload spec. Reading, decoding and
+/// folding the trace is [`load_trace`]'s job.
+struct TraceSource<'a> {
+    /// Hex content digest of the source: the inline text bytes, the
+    /// canonical workload spec, or the registered trace's digest.
+    digest: String,
+    origin: Origin<'a>,
+}
+
+enum Origin<'a> {
+    /// Inline trace bytes (`"trace"`).
+    Inline(&'a str),
+    /// A generated workload (`"workload": "APP:RANKS"`) and its rank count.
+    Workload(App, u32),
+    /// A registry reference (`"trace_digest"` from an earlier
+    /// `POST /v1/traces`).
+    Registered,
+}
+
+fn trace_source(fields: &[(String, Value)]) -> Result<TraceSource<'_>, Response> {
     let sources = (
         str_field(fields, "trace")?,
         str_field(fields, "workload")?,
         str_field(fields, "trace_digest")?,
     );
-    let input = match sources {
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => {
-            return Err(Response::error(
-                400,
-                "give exactly one of 'trace', 'workload', or 'trace_digest'",
-            ))
-        }
-        (Some(text), None, None) => {
-            let ingest = parse_trace_auto(text.as_bytes())
-                .map(ingest_trace)
-                .map_err(|e| Response::error(400, &format!("bad trace: {e}")))?;
-            AnalysisInput {
-                ingest,
-                digest: digest_hex(content_digest(text.as_bytes())),
-            }
-        }
+    match sources {
+        (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => Err(Response::error(
+            400,
+            "give exactly one of 'trace', 'workload', or 'trace_digest'",
+        )),
+        (Some(text), None, None) => Ok(TraceSource {
+            digest: digest_hex(content_digest(text.as_bytes())),
+            origin: Origin::Inline(text),
+        }),
         (None, Some(spec), None) => {
-            let (trace, canonical) = generate_workload(spec)?;
-            AnalysisInput {
-                ingest: ingest_trace(trace),
-                digest: digest_hex(content_digest(canonical.as_bytes())),
-            }
+            // Name resolution and rank bounds live in `netloc_workloads`,
+            // shared with the job subsystem and the CLI.
+            let (app, ranks, canonical) = netloc_workloads::parse_workload_spec(spec)
+                .map_err(|e| Response::error(400, &e))?;
+            Ok(TraceSource {
+                digest: workload_digest(&canonical),
+                origin: Origin::Workload(app, ranks),
+            })
         }
-        (None, None, Some(digest)) => {
+        (None, None, Some(digest)) => Ok(TraceSource {
+            digest: digest.to_string(),
+            origin: Origin::Registered,
+        }),
+        (None, None, None) => Err(Response::error(
+            400,
+            "missing trace source: set 'trace' (inline dumpi text), 'workload' (\"APP:RANKS\"), or 'trace_digest'",
+        )),
+    }
+}
+
+/// Read, decode and fold the trace behind `source` into traffic matrices
+/// and stats in one pass, and count the ingest.
+fn load_trace(state: &AppState, source: &TraceSource<'_>) -> Result<IngestResult, Response> {
+    let ingest = match source.origin {
+        Origin::Inline(text) => parse_trace_auto(text.as_bytes())
+            .map(ingest_trace)
+            .map_err(|e| Response::error(400, &format!("bad trace: {e}")))?,
+        Origin::Workload(app, ranks) => {
+            ingest_trace(netloc_workloads::generate_workload(app, ranks))
+        }
+        Origin::Registered => {
             // Read-through: registry memory, then the persistent store.
             // The store verifies the frame; re-deriving the digest from
             // the payload guards the memory layer the same way.
+            let digest = source.digest.as_str();
             let bytes = tiered_get(&state.registry, state.store.as_deref(), Kind::Trace, digest)
                 .map(|(bytes, _)| bytes)
                 .filter(|bytes| digest_hex(content_digest(bytes)) == digest)
                 .ok_or_else(|| unknown_digest(digest))?;
-            let ingest = parse_trace_auto(&bytes)
+            parse_trace_auto(&bytes)
                 .map(ingest_trace)
-                .map_err(|e| Response::error(400, &format!("bad registered trace: {e}")))?;
-            AnalysisInput {
-                ingest,
-                digest: digest.to_string(),
-            }
+                .map_err(|e| Response::error(400, &format!("bad registered trace: {e}")))?
         }
-        (None, None, None) => return Err(Response::error(
-            400,
-            "missing trace source: set 'trace' (inline dumpi text), 'workload' (\"APP:RANKS\"), or 'trace_digest'",
-        )),
     };
     state.traces_ingested.fetch_add(1, Ordering::Relaxed);
     state
         .ingest_events
-        .fetch_add(input.ingest.trace.events.len() as u64, Ordering::Relaxed);
-    Ok(input)
+        .fetch_add(ingest.trace.events.len() as u64, Ordering::Relaxed);
+    Ok(ingest)
 }
 
-/// `"lulesh:64"` → the deterministic generated trace plus the canonical
-/// spec string (`workload:LULESH:64`) its digest is taken from. Name
-/// resolution and rank bounds live in `netloc_workloads` now, shared
-/// with the job subsystem and the CLI.
-fn generate_workload(spec: &str) -> Result<(Trace, String), Response> {
-    let (app, ranks, canonical) =
-        netloc_workloads::parse_workload_spec(spec).map_err(|e| Response::error(400, &e))?;
-    Ok((
-        netloc_workloads::generate_workload(app, ranks),
-        format!("workload:{canonical}"),
-    ))
-}
-
-fn decode_topology(fields: &[(String, Value)], ranks: u32) -> Result<TopologySpec, Response> {
-    let raw = str_field(fields, "topology")?.unwrap_or("auto");
-    let spec: TopologySpec = raw
+/// The `"topology"` spec, `auto` when absent and still unresolved.
+fn decode_topology(fields: &[(String, Value)]) -> Result<TopologySpec, Response> {
+    str_field(fields, "topology")?
+        .unwrap_or("auto")
         .parse()
-        .map_err(|e| Response::error(400, &format!("{e}")))?;
-    Ok(spec.resolve(ranks))
+        .map_err(|e| Response::error(400, &format!("{e}")))
 }
 
 fn decode_mapping(fields: &[(String, Value)]) -> Result<MappingSpec, Response> {
@@ -626,44 +635,59 @@ fn analyze(state: &AppState, body: &[u8]) -> Response {
     };
     let result = (|| {
         let fields = obj(&value)?;
-        let input = decode_trace(state, fields)?;
-        let topo_spec = decode_topology(fields, input.ingest.trace.num_ranks)?;
+        let source = trace_source(fields)?;
+        let topo_spec = decode_topology(fields)?;
         let map_spec = decode_mapping(fields)?;
         let windows = decode_windows(fields)?;
 
-        // Content-addressed lookup before any route computation: a hit —
-        // in memory or digest-verified on disk — returns the exact bytes
-        // served last time, across restarts. Requests without 'windows'
-        // keep their historical key, so caches survive the upgrade.
-        let key = match windows {
-            None => format!("analyze|{}|{topo_spec}|{map_spec}", input.digest),
-            Some(n) => format!(
-                "analyze|{}|{topo_spec}|{map_spec}|windows:{n}",
-                input.digest
-            ),
+        // `auto` resolves against the rank count: a workload spec names
+        // it, a trace only tells it once loaded.
+        let mut ingest = None;
+        let topo_spec = match (topo_spec, &source.origin) {
+            (TopologySpec::Auto, Origin::Workload(_, ranks)) => TopologySpec::Auto.resolve(*ranks),
+            (TopologySpec::Auto, _) => {
+                let loaded = ingest.insert(load_trace(state, &source)?);
+                TopologySpec::Auto.resolve(loaded.trace.num_ranks)
+            }
+            (concrete, _) => concrete,
         };
+
+        // Content-addressed lookup before the trace is read and before
+        // any route computation: a hit — in memory or digest-verified on
+        // disk — returns the exact bytes served last time, across
+        // restarts, even after the registry has evicted the trace.
+        let key = analysis_key(&source.digest, &topo_spec, &map_spec, windows);
         if let Some((bytes, _tier)) = tiered_get(
             &state.result_cache,
             state.store.as_deref(),
             Kind::Result,
             &key,
         ) {
+            // A registered trace in use stays resident for its next cold
+            // analysis, though this one reads none of its bytes.
+            if let Origin::Registered = source.origin {
+                state.registry.touch(&source.digest);
+            }
             return Ok(Response::json(bytes.as_ref().clone()));
         }
 
+        let ingest = match ingest {
+            Some(loaded) => loaded,
+            None => load_trace(state, &source)?,
+        };
         let resp = with_routed(state, &topo_spec, |routed| match windows {
             None => payload::analyze(
-                &input.ingest.trace,
-                &input.ingest.matrix,
-                input.digest.clone(),
+                &ingest.trace,
+                &ingest.matrix,
+                source.digest.clone(),
                 &topo_spec,
                 &map_spec,
                 routed,
             ),
             Some(n) => payload::analyze_windowed(
-                &input.ingest.trace,
-                &input.ingest.matrix,
-                input.digest.clone(),
+                &ingest.trace,
+                &ingest.matrix,
+                source.digest.clone(),
                 &topo_spec,
                 &map_spec,
                 routed,
@@ -711,8 +735,9 @@ fn sweep(state: &AppState, body: &[u8]) -> Response {
                 ));
             }
         }
-        let input = decode_trace(state, fields)?;
-        let topo_spec = decode_topology(fields, input.ingest.trace.num_ranks)?;
+        let source = trace_source(fields)?;
+        let ingest = load_trace(state, &source)?;
+        let topo_spec = decode_topology(fields)?.resolve(ingest.trace.num_ranks);
         let map_specs: Vec<MappingSpec> = match field(fields, "mappings") {
             None | Some(Value::Null) => vec![MappingSpec::Consecutive],
             Some(Value::Array(items)) => {
@@ -733,9 +758,9 @@ fn sweep(state: &AppState, body: &[u8]) -> Response {
         };
         let resp = with_routed(state, &topo_spec, |routed| {
             payload::sweep(
-                &input.ingest.trace,
-                &input.ingest.matrix,
-                input.digest.clone(),
+                &ingest.trace,
+                &ingest.matrix,
+                source.digest.clone(),
                 &topo_spec,
                 &map_specs,
                 routed,
@@ -777,9 +802,9 @@ fn trace_only(
     };
     let result = (|| {
         let fields = obj(&value)?;
-        let input = decode_trace(state, fields)?;
+        let ingest = load_trace(state, &trace_source(fields)?)?;
         Ok(Response::json(
-            canonical_json(&compute(&input.ingest, fields)?).into_bytes(),
+            canonical_json(&compute(&ingest, fields)?).into_bytes(),
         ))
     })();
     result.unwrap_or_else(|resp| resp)

@@ -6,9 +6,11 @@
 //! unit of background work on the existing worker pool, scheduled
 //! through the queue's low-priority lane so interactive requests are
 //! never starved. Cells share the single-flight `SharedRoutes` tables
-//! exactly like `/v1/analyze` does — a 50-topology grid builds 50 route
-//! tables, once each, regardless of how many mapping × workload cells
-//! ride on them.
+//! exactly like `/v1/analyze` does, and run topology by topology, so a
+//! 50-topology grid builds each of its 50 route tables once however many
+//! mapping × workload cells ride on it, unless the route cache's LRU
+//! bound evicts a table between two of its cells (see `TopoCache`); the
+//! next cell then restores it from the store or rebuilds it.
 //!
 //! **Durability model.** A cell's payload is the canonical
 //! `AnalyzeResponse` bytes under the *same* content-addressed key
@@ -29,7 +31,7 @@
 //! what lets `netloc sweep --remote URL,URL` split one grid across
 //! instances and merge the results byte-identically to a local run.
 
-use crate::cache::{tiered_get, tiered_insert, CacheTier};
+use crate::cache::{analysis_key, tiered_get, tiered_insert, workload_digest, CacheTier};
 use crate::payload;
 use crate::server::{AppState, Work};
 use crate::store::Kind;
@@ -98,10 +100,12 @@ pub fn job_id(grid: &GridSpec, shard: Option<ShardSpec>) -> String {
 /// which is what makes job cells and interactive requests one shared
 /// durable population.
 pub fn cell_key(cell: &GridCell) -> String {
-    let digest = digest_hex(content_digest(
-        format!("workload:{}", cell.workload).as_bytes(),
-    ));
-    format!("analyze|{digest}|{}|{}", cell.topology, cell.mapping)
+    analysis_key(
+        &workload_digest(&cell.workload),
+        &cell.topology,
+        &cell.mapping,
+        None,
+    )
 }
 
 /// The deterministic error payload of an infeasible cell (e.g. more
@@ -141,13 +145,10 @@ pub fn cell_bytes_routed(
         .mapping
         .parse()
         .expect("grid mappings are canonical and re-parse");
-    let digest = digest_hex(content_digest(
-        format!("workload:{}", cell.workload).as_bytes(),
-    ));
     match payload::analyze(
         &ingest.trace,
         &ingest.matrix,
-        digest,
+        workload_digest(&cell.workload),
         topo_spec,
         &map_spec,
         routed,

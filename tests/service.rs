@@ -448,13 +448,223 @@ fn trace_registry_round_trip_is_byte_identical_with_inline_traces() {
         400
     );
 
-    // Registry observability: the upload is one entry, the by-digest
-    // analysis hit it once.
+    // Registry observability: the upload is one entry. The by-digest
+    // analysis repeats the inline request's key, so it is answered from
+    // the result cache without reading the registry; the unknown digest
+    // is the registry's one lookup, and a miss.
     let s = client::get(addr, "/v1/statusz").unwrap();
     let s = s.body_str();
     assert_eq!(json_counter(s, &["registry", "entries"]), 1, "{s}");
     assert!(json_counter(s, &["registry", "bytes"]) >= trace_text.len() as u64);
-    assert_eq!(json_counter(s, &["registry", "hits"]), 1, "{s}");
+    assert_eq!(json_counter(s, &["registry", "hits"]), 0, "{s}");
+    assert_eq!(json_counter(s, &["registry", "misses"]), 1, "{s}");
+    server.shutdown();
+}
+
+/// A repeated analysis is answered from its key alone. For every trace
+/// source, with and without windows, the repeat returns the same bytes and
+/// neither reads nor folds the trace again.
+#[test]
+fn warm_hits_skip_the_trace_for_every_source() {
+    let server = start(test_config());
+    let addr = server.addr();
+    let trace_text = sample_trace_text();
+    let reg = client::post(addr, "/v1/traces", &trace_text).unwrap();
+    assert_eq!(reg.status, 200, "{}", reg.body_str());
+    let digest = digest_hex(content_digest(trace_text.as_bytes()));
+    let ingest_counters = || {
+        let s = client::get(addr, "/v1/statusz").unwrap();
+        let s = s.body_str();
+        (
+            json_counter(s, &["traces_ingested"]),
+            json_counter(s, &["ingest_events"]),
+        )
+    };
+
+    let sources = [
+        format!("\"trace\": {}", json_escape(&trace_text)),
+        "\"workload\": \"lulesh:27\"".to_string(),
+        format!("\"trace_digest\": \"{digest}\""),
+    ];
+    let mut seed = 0;
+    for source in &sources {
+        for windows in ["", ", \"windows\": 3"] {
+            // A fresh mapping seed per request pair, so the first one is
+            // a miss that loads the trace.
+            seed += 1;
+            let body = format!(
+                "{{{source}, \"topology\": \"torus:3,3,3\", \"mapping\": \"random:{seed}\"{windows}}}"
+            );
+            let cold = client::post(addr, "/v1/analyze", &body).unwrap();
+            assert_eq!(cold.status, 200, "{}", cold.body_str());
+            let ingested = ingest_counters();
+            let warm = client::post(addr, "/v1/analyze", &body).unwrap();
+            assert_eq!(warm.status, 200, "{}", warm.body_str());
+            assert_eq!(warm.body, cold.body, "warm hit diverged: {body}");
+            assert_eq!(
+                ingest_counters(),
+                ingested,
+                "warm hit read the trace: {body}"
+            );
+        }
+    }
+
+    // A workload names its rank count, so `auto` resolves without the
+    // trace: the repeat is a pure lookup too, and the bytes are the ones
+    // computed from the generated trace.
+    let (app, ranks, canonical) = netloc::workloads::parse_workload_spec("lulesh:27").unwrap();
+    let ingest = netloc::core::ingest_trace(netloc::workloads::generate_workload(app, ranks));
+    let topo_spec = TopologySpec::Auto.resolve(ingest.trace.num_ranks);
+    let topo = topo_spec.build().unwrap();
+    let expected = payload::analyze(
+        &ingest.trace,
+        &ingest.matrix,
+        digest_hex(content_digest(format!("workload:{canonical}").as_bytes())),
+        &topo_spec,
+        &MappingSpec::Consecutive,
+        &RoutedTopology::auto(topo.as_ref()),
+    )
+    .unwrap();
+    let body = "{\"workload\": \"lulesh:27\", \"topology\": \"auto\"}";
+    let ingested = ingest_counters();
+    for _ in 0..2 {
+        let resp = client::post(addr, "/v1/analyze", body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        assert_eq!(resp.body, canonical_json(&expected).into_bytes());
+    }
+    assert_eq!(
+        ingest_counters().0,
+        ingested.0 + 1,
+        "one generation, on the miss"
+    );
+
+    // On a trace source `auto` needs the trace's rank count, so it still
+    // loads the trace first, and serves the same bytes as a direct call.
+    let expected = expected_analyze_bytes(&trace_text, "auto", "consecutive");
+    let by_digest = format!("{{\"trace_digest\": \"{digest}\", \"topology\": \"auto\"}}");
+    for body in [analyze_body(&trace_text, "auto", "consecutive"), by_digest] {
+        let resp = client::post(addr, "/v1/analyze", &body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        assert_eq!(resp.body, expected, "auto diverged: {body}");
+    }
+    server.shutdown();
+}
+
+/// A 27-rank trace whose rank `r` sends to `(r * stride + 2) % 27`, so
+/// each stride names a distinct trace of about the same size.
+fn strided_trace_text(name: &str, stride: u32) -> String {
+    let mut b = TraceBuilder::new(name, 27).exec_time_s(4.0);
+    for r in 0..27u32 {
+        b.send(Rank(r), Rank((r * stride + 2) % 27), 20_000 + r as u64, 2);
+    }
+    write_trace(&b.build())
+}
+
+/// A cached result outlives its registered trace. Once a memory-only
+/// registry has evicted the trace, a repeated key for its digest still
+/// answers from the result cache, while a key that needs the trace gets
+/// the structured 404.
+#[test]
+fn cached_results_outlive_evicted_registry_traces() {
+    let trace_text = sample_trace_text();
+    let other = strided_trace_text("itest-other", 7);
+    // Room for either trace, never both.
+    let capacity = trace_text.len() + other.len() - 1;
+    assert!(trace_text.len().max(other.len()) <= capacity);
+    let server = start(ServerConfig {
+        registry_cache_bytes: capacity,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let digest = digest_hex(content_digest(trace_text.as_bytes()));
+    let body = |mapping: &str| {
+        format!(
+            "{{\"trace_digest\": \"{digest}\", \"topology\": \"torus:3,3,3\", \"mapping\": \"{mapping}\"}}"
+        )
+    };
+
+    assert_eq!(
+        client::post(addr, "/v1/traces", &trace_text)
+            .unwrap()
+            .status,
+        200
+    );
+    let cold = client::post(addr, "/v1/analyze", &body("consecutive")).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body_str());
+    assert_eq!(
+        cold.body,
+        expected_analyze_bytes(&trace_text, "torus:3,3,3", "consecutive"),
+        "by-digest analysis != direct library call"
+    );
+
+    assert_eq!(
+        client::post(addr, "/v1/traces", &other).unwrap().status,
+        200
+    );
+    let s = client::get(addr, "/v1/statusz").unwrap();
+    assert_eq!(json_counter(s.body_str(), &["registry", "evictions"]), 1);
+
+    let warm = client::post(addr, "/v1/analyze", &body("consecutive")).unwrap();
+    assert_eq!(warm.status, 200, "{}", warm.body_str());
+    assert_eq!(warm.body, cold.body, "the cached result must still answer");
+
+    let fresh = client::post(addr, "/v1/analyze", &body("random:5")).unwrap();
+    assert_eq!(fresh.status, 404, "{}", fresh.body_str());
+    assert!(
+        fresh.body_str().contains("\"code\": \"unknown_digest\""),
+        "{}",
+        fresh.body_str()
+    );
+    server.shutdown();
+}
+
+/// A warm by-digest hit reads none of the trace's bytes, but it still
+/// keeps the trace resident: when the registry must evict, it evicts a
+/// trace nobody asked about since, and the next cold analysis of the
+/// trace in use finds it.
+#[test]
+fn warm_hits_keep_a_registered_trace_resident() {
+    let traces = [
+        sample_trace_text(),
+        strided_trace_text("itest-second", 5),
+        strided_trace_text("itest-third", 11),
+    ];
+    // Room for the first trace and either other one, never all three.
+    let capacity = traces[0].len() + traces[1].len().max(traces[2].len());
+    let server = start(ServerConfig {
+        registry_cache_bytes: capacity,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let digest = digest_hex(content_digest(traces[0].as_bytes()));
+    let body = |mapping: &str| {
+        format!(
+            "{{\"trace_digest\": \"{digest}\", \"topology\": \"torus:3,3,3\", \"mapping\": \"{mapping}\"}}"
+        )
+    };
+    let upload = |text: &str| {
+        let resp = client::post(addr, "/v1/traces", text).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+    };
+
+    upload(&traces[0]);
+    let cold = client::post(addr, "/v1/analyze", &body("consecutive")).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body_str());
+    upload(&traces[1]);
+    // The warm hit leaves the second trace the least recently used.
+    let warm = client::post(addr, "/v1/analyze", &body("consecutive")).unwrap();
+    assert_eq!(warm.body, cold.body);
+    upload(&traces[2]);
+    let s = client::get(addr, "/v1/statusz").unwrap();
+    assert_eq!(json_counter(s.body_str(), &["registry", "evictions"]), 1);
+    assert_eq!(json_counter(s.body_str(), &["registry", "entries"]), 2);
+
+    let fresh = client::post(addr, "/v1/analyze", &body("random:5")).unwrap();
+    assert_eq!(fresh.status, 200, "{}", fresh.body_str());
+    assert_eq!(
+        fresh.body,
+        expected_analyze_bytes(&traces[0], "torus:3,3,3", "random:5")
+    );
     server.shutdown();
 }
 

@@ -209,6 +209,56 @@ fn resubmission_is_idempotent_across_spellings() {
     server.shutdown();
 }
 
+/// A finished job's cells are entries of the interactive result cache:
+/// analyzing one cell's workload, topology and mapping returns that
+/// cell's bytes as a result hit, without generating or folding the
+/// workload's trace.
+#[test]
+fn job_cells_answer_interactive_analyses_without_ingest() {
+    let server = start(test_config());
+    let addr = server.addr();
+    let grid = small_grid();
+    // One shard of one: every cell is assigned.
+    let submitted = client::post(addr, "/v1/jobs", &submit_body_json(&grid, 0, 1, 0)).unwrap();
+    assert_eq!(submitted.status, 200, "{}", submitted.body_str());
+    let id = json_str_field(submitted.body_str(), "id");
+    assert!(
+        wait_until(Duration::from_secs(60), || {
+            let resp = client::get(addr, &format!("/v1/jobs/{id}")).unwrap();
+            resp.body_str().contains("\"status\": \"complete\"")
+        }),
+        "job must complete"
+    );
+
+    let cell = grid.cell(grid.cell_count() - 1).expect("last cell exists");
+    let (app, ranks, _) = netloc::workloads::parse_workload_spec(&cell.workload).unwrap();
+    let ingest = netloc::core::ingest_trace(netloc::workloads::generate_workload(app, ranks));
+    let expected = netloc::service::jobs::cell_bytes_local(&ingest, &cell);
+
+    let (hits, events) = (
+        statusz_counter(addr, &["result_cache", "hits"]),
+        statusz_counter(addr, &["ingest_events"]),
+    );
+    let resp = client::post(
+        addr,
+        "/v1/analyze",
+        &format!(
+            "{{\"workload\": \"{}\", \"topology\": \"{}\", \"mapping\": \"{}\"}}",
+            cell.workload, cell.topology, cell.mapping
+        ),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.body, expected, "analyze must serve the cell's bytes");
+    assert_eq!(statusz_counter(addr, &["result_cache", "hits"]), hits + 1);
+    assert_eq!(
+        statusz_counter(addr, &["ingest_events"]),
+        events,
+        "a result hit must not ingest the workload"
+    );
+    server.shutdown();
+}
+
 /// Satellite (b): an oversized synchronous sweep is refused with a
 /// structured 413 pointing at the job subsystem, and an oversized job
 /// grid gets the same code at its own cap.
