@@ -2,7 +2,7 @@
 //! materialization on each topology at Table 2 scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use netloc_topology::{ConfigCatalog, DistanceMatrix, NodeId, Topology, TorusNd};
+use netloc_topology::{ConfigCatalog, NodeId, RouteTable, Topology, TorusNd};
 use std::hint::black_box;
 
 fn bench_routing(c: &mut Criterion) {
@@ -39,7 +39,7 @@ fn bench_routing(c: &mut Criterion) {
             })
         });
     }
-    // N-dimensional torus and the dense distance cache.
+    // N-dimensional torus and the dense route table.
     let nd = TorusNd::new(&[4, 4, 4, 4, 4]); // 1024 nodes, 5D
     g.bench_function("hops_torusnd_1024_5d", |b| {
         let n = nd.num_nodes() as u32;
@@ -50,15 +50,15 @@ fn bench_routing(c: &mut Criterion) {
         })
     });
     let torus216 = ConfigCatalog::for_ranks(216).build_torus();
-    g.bench_function("distance_matrix_build_216", |b| {
-        b.iter(|| black_box(DistanceMatrix::new(&torus216)))
+    g.bench_function("route_table_build_216", |b| {
+        b.iter(|| black_box(RouteTable::build(&torus216)))
     });
-    let dm = DistanceMatrix::new(&torus216);
-    g.bench_function("distance_matrix_lookup", |b| {
+    let table = RouteTable::build(&torus216);
+    g.bench_function("route_table_hops", |b| {
         let mut i = 0u32;
         b.iter(|| {
             i = i.wrapping_add(2654435761) % (216 * 216);
-            black_box(dm.hops(NodeId(i % 216), NodeId(i / 216)))
+            black_box(table.hops(NodeId(i % 216), NodeId(i / 216)))
         })
     });
 

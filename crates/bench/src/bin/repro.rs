@@ -26,8 +26,7 @@
 //! `--full` includes the >256-rank configurations (slower but complete);
 //! `--svg DIR` additionally renders the figures as SVG files into `DIR`.
 
-use netloc_bench::format;
-use netloc_bench::rows;
+use netloc_bench::{benchjson, format, ingestbench, netbench, rows, servicebench, simbench};
 use netloc_topology::grid;
 use netloc_workloads::App;
 
@@ -241,29 +240,46 @@ fn banner(title: &str) {
     println!("\n=== {title} ===\n");
 }
 
+/// The `[--smoke] [-o FILE]` arguments every bench takes: the smoke flag
+/// and the output path (`default` when `-o` is absent).
+fn bench_args<'a>(args: &'a [String], default: &'a str) -> (bool, &'a str) {
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out = args
+        .iter()
+        .position(|a| a == "-o")
+        .and_then(|i| args.get(i + 1))
+        .map_or(default, String::as_str);
+    (smoke, out)
+}
+
+/// Write a validated bench report (see [`benchjson::write_report`]), or
+/// exit 1 when the file cannot be written.
+fn write_or_exit<R: serde::Serialize>(
+    report: &R,
+    out: &str,
+    file: &str,
+    validate: fn(&serde::Value) -> Result<(), String>,
+) {
+    if let Err(e) = benchjson::write_report(report, out, file, validate) {
+        eprintln!("cannot write {out}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// `repro bench [--smoke] [-o FILE]` — replay-throughput benchmark.
 ///
 /// Not part of `repro all`: the full run needs a quiet machine for
 /// meaningful timings. `--smoke` (used by CI) swaps in sub-second configs
 /// and still exercises the differential guard and the JSON schema check.
 fn bench(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_netmodel.json");
+    let (smoke, out) = bench_args(args, "BENCH_netmodel.json");
     banner(if smoke {
         "Replay benchmark (smoke mode)"
     } else {
         "Replay benchmark: rank-pair baseline vs node-pair/CSR replay"
     });
-    let report = netloc_bench::netbench::run(smoke);
-    if let Err(e) = netloc_bench::netbench::write_report(&report, out) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    let report = netbench::run(smoke);
+    write_or_exit(&report, out, "BENCH_netmodel.json", netbench::validate_json);
     println!("\nwrote {out} ({} rows)", report.results.len());
 }
 
@@ -275,23 +291,19 @@ fn bench(args: &[String]) {
 /// (used by CI) shrinks the traces and still asserts the parallel
 /// pipeline equals the sequential baseline before timing.
 fn bench_ingest(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_ingest.json");
+    let (smoke, out) = bench_args(args, "BENCH_ingest.json");
     banner(if smoke {
         "Ingest benchmark (smoke mode)"
     } else {
         "Ingest benchmark: sequential parse + 3 walks vs parallel fused pipeline"
     });
-    let report = netloc_bench::ingestbench::run(smoke);
-    if let Err(e) = netloc_bench::ingestbench::write_report(&report, out) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    let report = ingestbench::run(smoke);
+    write_or_exit(
+        &report,
+        out,
+        "BENCH_ingest.json",
+        ingestbench::validate_json,
+    );
     println!("\nwrote {out} ({} rows)", report.results.len());
 }
 
@@ -303,23 +315,14 @@ fn bench_ingest(args: &[String]) {
 /// (used by CI) shrinks the injection lists and still asserts the
 /// parallel engine is byte-identical to `refsim` before timing.
 fn bench_sim(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_sim.json");
+    let (smoke, out) = bench_args(args, "BENCH_sim.json");
     banner(if smoke {
         "Simulation benchmark (smoke mode)"
     } else {
         "Simulation benchmark: sequential refsim vs sharded windowed engine"
     });
-    let report = netloc_bench::simbench::run(smoke);
-    if let Err(e) = netloc_bench::simbench::write_report(&report, out) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    let report = simbench::run(smoke);
+    write_or_exit(&report, out, "BENCH_sim.json", simbench::validate_json);
     println!("\nwrote {out} ({} rows)", report.results.len());
 }
 
@@ -332,23 +335,19 @@ fn bench_sim(args: &[String]) {
 /// (used by CI) shrinks every phase and skips the performance gates while
 /// still validating the JSON schema and byte-identity across the restart.
 fn bench_service(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_service.json");
+    let (smoke, out) = bench_args(args, "BENCH_service.json");
     banner(if smoke {
         "Service benchmark (smoke mode)"
     } else {
         "Service benchmark: cold vs memory-hit vs disk-hit, plus overload shedding"
     });
-    let report = netloc_bench::servicebench::run(smoke);
-    if let Err(e) = netloc_bench::servicebench::write_report(&report, out) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    let report = servicebench::run(smoke);
+    write_or_exit(
+        &report,
+        out,
+        "BENCH_service.json",
+        servicebench::validate_json,
+    );
     println!(
         "\nwrote {out} (persistent speedup {:.1}x, shed rate {:.2})",
         report.persistent_speedup_vs_cold, report.overload.shed_rate

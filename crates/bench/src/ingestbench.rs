@@ -38,6 +38,7 @@
 //! (pipeline divergence) or schema regression; the full run stays manual
 //! because it needs minutes of quiet machine.
 
+use crate::benchjson::{field, finite_number, time_best};
 use netloc_core::{ingest_trace, IngestResult, TrafficMatrix};
 use netloc_mpi::{
     parse_trace, parse_trace_auto, write_trace, CollectiveOp, Payload, Rank, Trace, TraceBuilder,
@@ -45,7 +46,6 @@ use netloc_mpi::{
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
-use std::time::Instant;
 
 /// Version tag of the `BENCH_ingest.json` layout. Bump on any field
 /// rename or removal; CI smoke mode fails when the written file does not
@@ -228,19 +228,6 @@ fn stream_decode(col: &[u8]) -> (Trace, usize) {
     (parser.finish().expect("stream completes"), peak)
 }
 
-fn time_best<R, F: FnMut() -> R>(iters: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        // Teardown of the ~100MB result is identical for both paths and not
-        // part of ingest; keep it outside the timed window.
-        drop(std::hint::black_box(r));
-    }
-    best
-}
-
 /// Run the benchmark grid and return the report. Prints one line per cell.
 ///
 /// Panics if the parallel pipeline ever disagrees with the sequential
@@ -339,37 +326,6 @@ pub fn run(smoke: bool) -> IngestReport {
         schema_version: SCHEMA_VERSION,
         smoke,
         results,
-    }
-}
-
-/// Validate the serialized tree, then write `report` to `path` as pretty
-/// JSON — a schema regression fails at the producer, before the file is
-/// consumed by anything downstream.
-///
-/// # Panics
-/// Panics when [`validate_json`] rejects the report's own serialization.
-pub fn write_report(report: &IngestReport, path: &str) -> std::io::Result<()> {
-    let tree = report.to_value();
-    if let Err(e) = validate_json(&tree) {
-        panic!("BENCH_ingest.json schema regression: {e}");
-    }
-    let json = serde_json::to_string_pretty(report).expect("bench report serializes");
-    std::fs::write(path, json)
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn finite_number(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) if x.is_finite() => Some(*x),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
     }
 }
 

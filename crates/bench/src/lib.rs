@@ -8,6 +8,7 @@
 
 #![warn(missing_docs)]
 
+pub mod benchjson;
 pub mod format;
 pub mod goldens;
 pub mod ingestbench;

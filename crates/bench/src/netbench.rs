@@ -1,8 +1,8 @@
 //! Tracked replay-throughput benchmark (`repro bench`).
 //!
 //! Measures the node-pair/CSR replay path ([`analyze_network_routed`])
-//! against the pre-route-table baseline ([`analyze_network_rank_pairs`])
-//! on the three paper-scale topologies:
+//! against the pre-route-table baseline this module keeps for the purpose
+//! (`rank_pair_baseline`) on the three paper-scale topologies:
 //!
 //! | config          | topology               | nodes  | route storage |
 //! |-----------------|------------------------|--------|---------------|
@@ -38,15 +38,18 @@
 //! CI and fails on panic (report divergence) or schema regression; the
 //! full run stays manual because it needs minutes of quiet machine.
 
+use crate::benchjson::{field, finite_number, time_best};
 use netloc_core::{
-    analyze_network_rank_pairs, analyze_network_routed, node_pair_traffic, patterns, TrafficMatrix,
+    analyze_network_routed, node_pair_traffic, patterns, NetworkReport, PairTraffic, TrafficMatrix,
 };
+use netloc_topology::routetable::StoragePlan;
 use netloc_topology::{
-    Dragonfly, FatTree, Mapping, MappingSpec, NodeId, RoutedTopology, Topology, TopologySpec,
-    Torus3D,
+    Dragonfly, FatTree, LinkClass, Mapping, MappingSpec, NodeId, RoutedTopology, Topology,
+    TopologySpec, Torus3D,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -192,14 +195,85 @@ pub struct BenchReport {
     pub scale: Vec<ScaleRow>,
 }
 
-fn time_best<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+/// The pre-route-table replay, kept as this benchmark's baseline: it
+/// collects and sorts the rank-pair list on every call and recomputes
+/// every route with [`Topology::route_into`] per *rank* pair (no node-pair
+/// deduplication, no route table), folding chunks of `chunk_size` pairs
+/// in parallel and summing their reports in chunk order. Every field is
+/// an exact integer sum, so it is byte-identical to the routed replay,
+/// which every cell asserts before timing.
+fn rank_pair_baseline(
+    topo: &dyn Topology,
+    mapping: &Mapping,
+    tm: &TrafficMatrix,
+    chunk_size: usize,
+) -> NetworkReport {
+    let classes: Vec<LinkClass> = topo.links().iter().map(|l| l.class).collect();
+    let empty = || NetworkReport {
+        packet_hops: 0,
+        packets: 0,
+        messages: 0,
+        link_volume_bytes: 0,
+        used_links: 0,
+        total_links: classes.len(),
+        global_packets: 0,
+        global_messages: 0,
+        link_loads: vec![0; classes.len()],
+        hop_histogram: Vec::new(),
+    };
+    let mut pairs: Vec<((u32, u32), PairTraffic)> = tm.iter().map(|(k, p)| (*k, *p)).collect();
+    pairs.sort_unstable_by_key(|(k, _)| *k);
+    let mut report = pairs
+        .par_chunks(chunk_size)
+        .map(|chunk| {
+            let mut rep = empty();
+            let mut route = Vec::new();
+            for ((src, dst), p) in chunk {
+                let (ns, nd) = (
+                    mapping.node_of(*src as usize),
+                    mapping.node_of(*dst as usize),
+                );
+                route.clear();
+                topo.route_into(ns, nd, &mut route);
+                let hops = route.len();
+                rep.packet_hops += hops as u128 * p.packets as u128;
+                rep.packets += p.packets;
+                rep.messages += p.messages;
+                rep.link_volume_bytes += hops as u128 * p.bytes as u128;
+                if rep.hop_histogram.len() <= hops {
+                    rep.hop_histogram.resize(hops + 1, 0);
+                }
+                rep.hop_histogram[hops] += p.packets;
+                if route.iter().any(|l| classes[l.idx()].is_global()) {
+                    rep.global_packets += p.packets;
+                    rep.global_messages += p.messages;
+                }
+                for l in &route {
+                    rep.link_loads[l.idx()] += p.bytes;
+                }
+            }
+            rep
+        })
+        .reduce(empty, |mut a, b| {
+            a.packet_hops += b.packet_hops;
+            a.packets += b.packets;
+            a.messages += b.messages;
+            a.link_volume_bytes += b.link_volume_bytes;
+            a.global_packets += b.global_packets;
+            a.global_messages += b.global_messages;
+            for (x, y) in a.link_loads.iter_mut().zip(&b.link_loads) {
+                *x += y;
+            }
+            if a.hop_histogram.len() < b.hop_histogram.len() {
+                a.hop_histogram.resize(b.hop_histogram.len(), 0);
+            }
+            for (h, c) in b.hop_histogram.iter().enumerate() {
+                a.hop_histogram[h] += c;
+            }
+            a
+        });
+    report.used_links = report.link_loads.iter().filter(|&&b| b > 0).count();
+    report
 }
 
 /// Run the benchmark grid and return the report. Prints one line per cell.
@@ -242,7 +316,7 @@ pub fn run(smoke: bool) -> BenchReport {
             // Warm-up doubles as the differential guard: both paths must
             // produce byte-identical reports before any number is trusted.
             // For lazy tables this also pays the one-time row fills.
-            let base_rep = analyze_network_rank_pairs(topo, &mapping, &tm, chunk);
+            let base_rep = rank_pair_baseline(topo, &mapping, &tm, chunk);
             let routed_rep = analyze_network_routed(&routed, &mapping, &tm);
             assert_eq!(
                 base_rep, routed_rep,
@@ -252,7 +326,7 @@ pub fn run(smoke: bool) -> BenchReport {
 
             let node_pairs = node_pair_traffic(&mapping, &tm).len();
             let baseline_s = time_best(iters, || {
-                std::hint::black_box(analyze_network_rank_pairs(topo, &mapping, &tm, chunk));
+                std::hint::black_box(rank_pair_baseline(topo, &mapping, &tm, chunk));
             });
             let routed_s = time_best(iters, || {
                 std::hint::black_box(analyze_network_routed(&routed, &mapping, &tm));
@@ -422,10 +496,16 @@ pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
         // small enough to compare compressed, dense and lazy-compressed
         // storage on every ordered pair.
         let twin = netloc_topology::SlimFly::new(5, 2);
-        let dense = RoutedTopology::dense(&twin);
+        let dense = RoutedTopology::with_plan(&twin, StoragePlan::Dense);
         let modes = [
-            ("compressed", RoutedTopology::compressed(&twin)),
-            ("lazy-compressed", RoutedTopology::lazy_compressed(&twin)),
+            (
+                "compressed",
+                RoutedTopology::with_plan(&twin, StoragePlan::Compressed),
+            ),
+            (
+                "lazy-compressed",
+                RoutedTopology::with_plan(&twin, StoragePlan::LazyCompressed),
+            ),
         ];
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for s in 0..twin.num_nodes() as u32 {
@@ -443,37 +523,6 @@ pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
         println!("[scale] twin slimfly:5,2        compressed == dense on all pairs");
     }
     rows
-}
-
-/// Validate the serialized tree, then write `report` to `path` as pretty
-/// JSON — a schema regression fails at the producer, before the file is
-/// consumed by anything downstream.
-///
-/// # Panics
-/// Panics when [`validate_json`] rejects the report's own serialization.
-pub fn write_report(report: &BenchReport, path: &str) -> std::io::Result<()> {
-    let tree = report.to_value();
-    if let Err(e) = validate_json(&tree) {
-        panic!("BENCH_netmodel.json schema regression: {e}");
-    }
-    let json = serde_json::to_string_pretty(report).expect("bench report serializes");
-    std::fs::write(path, json)
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn finite_number(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) if x.is_finite() => Some(*x),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
 }
 
 /// Structural check of a `BENCH_netmodel.json` value tree: version match,

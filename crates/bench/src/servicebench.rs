@@ -24,6 +24,7 @@
 //! of the uncontended p99. `--smoke` shrinks the phases for CI and skips
 //! the performance gates (structure is still validated).
 
+use crate::benchjson::{field, finite_number};
 use netloc_mpi::{write_trace, Rank, TraceBuilder};
 use netloc_service::{Server, ServerConfig};
 use netloc_testkit::client;
@@ -415,37 +416,6 @@ pub fn run(smoke: bool) -> ServiceBenchReport {
         persistent,
         persistent_speedup_vs_cold: persistent_speedup,
         overload,
-    }
-}
-
-/// Validate the serialized tree, then write `report` to `path` as pretty
-/// JSON — a schema regression (or, in full mode, a missed performance
-/// gate) fails at the producer, before the file lands in the repo.
-///
-/// # Panics
-/// Panics when [`validate_json`] rejects the report's own serialization.
-pub fn write_report(report: &ServiceBenchReport, path: &str) -> std::io::Result<()> {
-    let tree = report.to_value();
-    if let Err(e) = validate_json(&tree) {
-        panic!("BENCH_service.json schema regression: {e}");
-    }
-    let json = serde_json::to_string_pretty(report).expect("bench report serializes");
-    std::fs::write(path, json)
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn finite_number(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) if x.is_finite() => Some(*x),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
     }
 }
 

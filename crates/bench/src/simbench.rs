@@ -32,10 +32,12 @@
 //! panic (engine divergence) or schema regression; the full run stays
 //! manual because it needs minutes of quiet machine.
 
+use crate::benchjson::{field, finite_number, time_best};
 use netloc_mpi::{Rank, Trace, TraceBuilder};
 use netloc_sim::{
     expand_trace, simulate_parallel, simulate_reference, Injection, SimConfig, SimExec,
 };
+use netloc_topology::routetable::StoragePlan;
 use netloc_topology::{Dragonfly, FatTree, Mapping, RoutedTopology, Topology, Torus3D};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -164,17 +166,6 @@ pub struct SimBenchReport {
     pub results: Vec<SimRow>,
 }
 
-fn time_best<R, F: FnMut() -> R>(iters: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(r));
-    }
-    best
-}
-
 /// Run one cell: differential guard, then timing.
 fn run_cell(cfg: &BenchConfig, injections: &[Injection], ranks: u32, iters: usize) -> SimRow {
     let topo = cfg.topology.as_ref();
@@ -188,7 +179,7 @@ fn run_cell(cfg: &BenchConfig, injections: &[Injection], ranks: u32, iters: usiz
     };
 
     let t = Instant::now();
-    let routed = RoutedTopology::dense(topo);
+    let routed = RoutedTopology::with_plan(topo, StoragePlan::Dense);
     let table_build_s = t.elapsed().as_secs_f64();
 
     // Byte-identity guard before any number is trusted — the benchmark
@@ -288,37 +279,6 @@ pub fn run(smoke: bool) -> SimBenchReport {
         schema_version: SCHEMA_VERSION,
         smoke,
         results,
-    }
-}
-
-/// Validate the serialized tree, then write `report` to `path` as pretty
-/// JSON — a schema regression fails at the producer, before the file is
-/// consumed by anything downstream.
-///
-/// # Panics
-/// Panics when [`validate_json`] rejects the report's own serialization.
-pub fn write_report(report: &SimBenchReport, path: &str) -> std::io::Result<()> {
-    let tree = report.to_value();
-    if let Err(e) = validate_json(&tree) {
-        panic!("BENCH_sim.json schema regression: {e}");
-    }
-    let json = serde_json::to_string_pretty(report).expect("bench report serializes");
-    std::fs::write(path, json)
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn finite_number(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(x) if x.is_finite() => Some(*x),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
     }
 }
 

@@ -10,7 +10,7 @@
 //!
 //! * events are split into one chunk per rayon worker;
 //! * each worker folds its chunk into a private [`WindowedAccum`] — one
-//!   [`Shard`] per time window holding full matrix cells, p2p-only cells,
+//!   `Shard` per time window holding full matrix cells, p2p-only cells,
 //!   and Table 1 counters accumulated together, with collectives expanded
 //!   through the allocation-free [`for_each_translated`] callback;
 //! * accumulators merge pairwise (plain `u64` additions) and the merged

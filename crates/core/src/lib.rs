@@ -49,9 +49,8 @@ pub use metrics::rank_locality::{rank_distance_90, rank_locality_90};
 pub use metrics::selectivity::{selectivity_90, SelectivityCurve};
 pub use netloc_mpi::parse_trace_auto;
 pub use netmodel::{
-    analyze_network, analyze_network_chunked, analyze_network_rank_pairs, analyze_network_routed,
-    analyze_network_routed_chunked, node_pair_traffic, NetworkReport, LINK_BANDWIDTH_BYTES_PER_S,
-    PACKET_PAYLOAD,
+    analyze_network, analyze_network_routed, analyze_network_routed_chunked, node_pair_traffic,
+    NetworkReport, LINK_BANDWIDTH_BYTES_PER_S, PACKET_PAYLOAD,
 };
 pub use refmodel::analyze_network_reference;
 pub use report::{analyze_trace, TraceAnalysis};

@@ -333,19 +333,6 @@ pub fn analyze_network(
     analyze_network_routed(&RoutedTopology::direct(topo), mapping, tm)
 }
 
-/// [`analyze_network`] with an explicit parallel chunk size.
-///
-/// The report must not depend on how the pair list is split across workers;
-/// exposing the chunk size lets the test harness assert exactly that.
-pub fn analyze_network_chunked(
-    topo: &dyn Topology,
-    mapping: &Mapping,
-    tm: &TrafficMatrix,
-    chunk_size: usize,
-) -> NetworkReport {
-    analyze_network_routed_chunked(&RoutedTopology::direct(topo), mapping, tm, chunk_size)
-}
-
 /// Replay against precomputed (or on-demand) routes: collapse the matrix to
 /// node pairs, then walk each unique pair's CSR route once.
 pub fn analyze_network_routed(
@@ -359,6 +346,10 @@ pub fn analyze_network_routed(
 }
 
 /// [`analyze_network_routed`] with an explicit parallel chunk size.
+///
+/// The report must not depend on how the pair list is split across
+/// workers; the chunk size is the knob the oracles turn to assert exactly
+/// that.
 pub fn analyze_network_routed_chunked(
     routed: &RoutedTopology<'_>,
     mapping: &Mapping,
@@ -369,43 +360,6 @@ pub fn analyze_network_routed_chunked(
     assert_mapping_covers(mapping, tm);
     let pairs = node_pair_traffic(mapping, tm);
     replay_node_pairs(routed, &pairs, chunk_size)
-}
-
-/// The pre-route-table replay, kept as the benchmark baseline: collects and
-/// sorts the rank-pair list on every call and recomputes every route with
-/// [`Topology::route_into`] per *rank* pair (no node-pair deduplication, no
-/// CSR lookups). Byte-identical to the node-pair paths; `repro bench`
-/// measures the CSR replay's speedup against it.
-pub fn analyze_network_rank_pairs(
-    topo: &dyn Topology,
-    mapping: &Mapping,
-    tm: &TrafficMatrix,
-    chunk_size: usize,
-) -> NetworkReport {
-    assert!(chunk_size > 0, "chunk size must be non-zero");
-    assert_mapping_covers(mapping, tm);
-    let classes: Vec<LinkClass> = topo.links().iter().map(|l| l.class).collect();
-    let num_links = classes.len();
-    let mut pairs: Vec<((u32, u32), PairTraffic)> = tm.iter().map(|(k, p)| (*k, *p)).collect();
-    pairs.sort_unstable_by_key(|(k, _)| *k);
-    let acc = pairs
-        .par_chunks(chunk_size)
-        .map(|chunk| {
-            let mut acc = Acc::new(num_links);
-            let mut route = Vec::new();
-            for ((src, dst), p) in chunk {
-                let (ns, nd) = (
-                    mapping.node_of(*src as usize),
-                    mapping.node_of(*dst as usize),
-                );
-                route.clear();
-                topo.route_into(ns, nd, &mut route);
-                acc.visit(&route, p, &classes);
-            }
-            acc
-        })
-        .reduce(|| Acc::new(num_links), Acc::merge);
-    acc.into_report(num_links)
 }
 
 #[cfg(test)]
@@ -599,23 +553,24 @@ mod tests {
     }
 
     #[test]
-    fn routed_paths_match_rank_pair_baseline() {
+    fn routed_paths_match_the_reference() {
+        use netloc_topology::routetable::StoragePlan;
         let topo = Dragonfly::new(4, 2, 2);
         let mut tm = TrafficMatrix::new(72);
         for r in 0..72u32 {
             tm.record(r, (r * 31 + 5) % 72, 3000 + r as u64, 1 + r as u64 % 3);
         }
         for mapping in [Mapping::consecutive(72, 72), Mapping::block(72, 4, 72)] {
-            let baseline = analyze_network_rank_pairs(&topo, &mapping, &tm, 64);
-            let dense = RoutedTopology::dense(&topo);
-            let lazy = RoutedTopology::lazy(&topo);
-            assert_eq!(analyze_network(&topo, &mapping, &tm), baseline);
-            assert_eq!(analyze_network_routed(&dense, &mapping, &tm), baseline);
-            assert_eq!(analyze_network_routed(&lazy, &mapping, &tm), baseline);
+            let reference = crate::refmodel::analyze_network_reference(&topo, &mapping, &tm);
+            let dense = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
+            let lazy = RoutedTopology::with_plan(&topo, StoragePlan::Lazy);
+            assert_eq!(analyze_network(&topo, &mapping, &tm), reference);
+            assert_eq!(analyze_network_routed(&dense, &mapping, &tm), reference);
+            assert_eq!(analyze_network_routed(&lazy, &mapping, &tm), reference);
             for chunk in [1, 7, 1024] {
                 assert_eq!(
                     analyze_network_routed_chunked(&dense, &mapping, &tm, chunk),
-                    baseline
+                    reference
                 );
             }
         }

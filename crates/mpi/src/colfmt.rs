@@ -799,11 +799,6 @@ impl ColStreamParser {
         self.max_buffered
     }
 
-    /// Events decoded so far.
-    pub fn events_decoded(&self) -> usize {
-        self.events.len()
-    }
-
     /// Close the stream: every chunk must have arrived and no bytes may
     /// trail the last one. Returns the validated trace.
     pub fn finish(mut self) -> Result<Trace> {

@@ -1,12 +1,6 @@
-//! Trace transformations — remapping, filtering, merging, scaling.
-//!
-//! Utilities for working with trace files: renumber ranks (to study a
-//! different logical-to-physical assignment at the *trace* level), keep
-//! only point-to-point traffic, merge phases captured separately, or scale
-//! volumes (e.g. to undo the paper's 1-byte derived-datatype convention
-//! once the real extent is known, §4.3).
+//! Trace transformations: renumber the ranks of a trace, to study a
+//! different logical-to-physical assignment at the *trace* level.
 
-use crate::collective::Payload;
 use crate::error::{MpiError, Result};
 use crate::event::Event;
 use crate::rank::Rank;
@@ -52,77 +46,10 @@ pub fn remap_ranks(trace: &Trace, perm: &[u32]) -> Result<Trace> {
     Ok(out)
 }
 
-/// Keep only the point-to-point events of a trace (what the paper's
-/// MPI-level metrics consume).
-pub fn p2p_only(trace: &Trace) -> Trace {
-    let mut out = trace.clone();
-    out.events
-        .retain(|te| matches!(te.event, Event::Send { .. }));
-    out
-}
-
-/// Concatenate two traces over the same rank count: the second trace's
-/// events are shifted in time to start after the first ends, and execution
-/// times add. Application names join with `"+"`. Sub-communicators of both
-/// inputs are re-registered (ids shift for the second trace's events).
-pub fn concat(a: &Trace, b: &Trace) -> Result<Trace> {
-    if a.num_ranks != b.num_ranks {
-        return Err(MpiError::Invalid(format!(
-            "rank counts differ: {} vs {}",
-            a.num_ranks, b.num_ranks
-        )));
-    }
-    let mut out = a.clone();
-    out.app = format!("{}+{}", a.app, b.app);
-    out.exec_time_s = a.exec_time_s + b.exec_time_s;
-    let id_shift = (a.comms.len() - 1) as u32;
-    let mut comms = a.comms.clone();
-    for comm in b.comms.iter().skip(1) {
-        comms.register(comm.members.clone());
-    }
-    out.comms = comms;
-    for te in &b.events {
-        let mut te = te.clone();
-        te.time += a.exec_time_s;
-        if let Event::Collective { comm, .. } = &mut te.event {
-            if comm.0 != 0 {
-                comm.0 += id_shift;
-            }
-        }
-        out.events.push(te);
-    }
-    out.validate()?;
-    Ok(out)
-}
-
-/// Scale every payload by `factor` (e.g. 8.0 to treat the paper's 1-byte
-/// derived datatypes as doubles). Element counts scale for sends; per-rank
-/// payload volumes scale for collectives. Fractional results round to at
-/// least one byte.
-pub fn scale_volume(trace: &Trace, factor: f64) -> Trace {
-    assert!(factor > 0.0, "scale factor must be positive");
-    let scale = |v: u64| -> u64 { ((v as f64 * factor).round() as u64).max(1) };
-    let mut out = trace.clone();
-    for te in &mut out.events {
-        match &mut te.event {
-            Event::Send { count, .. } => *count = scale(*count),
-            Event::Collective { payload, .. } => match payload {
-                Payload::Uniform(b) => *b = scale(*b),
-                Payload::PerRank(v) => {
-                    for b in v.iter_mut() {
-                        *b = scale(*b);
-                    }
-                }
-            },
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::CollectiveOp;
+    use crate::collective::{CollectiveOp, Payload};
     use crate::trace::TraceBuilder;
 
     fn sample() -> Trace {
@@ -161,47 +88,5 @@ mod tests {
         assert!(remap_ranks(&t, &[0, 0, 1, 2]).is_err());
         assert!(remap_ranks(&t, &[0, 1, 2, 9]).is_err());
         assert!(remap_ranks(&t, &[0, 1]).is_err());
-    }
-
-    #[test]
-    fn p2p_only_strips_collectives() {
-        let t = p2p_only(&sample());
-        assert_eq!(t.events.len(), 1);
-        assert_eq!(t.stats().coll_bytes, 0);
-    }
-
-    #[test]
-    fn concat_shifts_times_and_comm_ids() {
-        let a = sample();
-        let b = sample();
-        let joined = concat(&a, &b).unwrap();
-        assert_eq!(joined.app, "a+a");
-        assert_eq!(joined.exec_time_s, 4.0);
-        assert_eq!(joined.num_events(), 4);
-        assert_eq!(joined.comms.len(), 3); // world + one sub each
-                                           // the second half's events start after the first trace's span
-        assert!(joined.events[2].time >= 2.0);
-        // statistics add
-        assert_eq!(
-            joined.stats().total_bytes(),
-            a.stats().total_bytes() + b.stats().total_bytes()
-        );
-    }
-
-    #[test]
-    fn concat_rejects_mismatched_ranks() {
-        let a = sample();
-        let b = TraceBuilder::new("b", 8).build();
-        assert!(concat(&a, &b).is_err());
-    }
-
-    #[test]
-    fn scale_volume_multiplies_everything() {
-        let t = sample();
-        let scaled = scale_volume(&t, 8.0);
-        assert_eq!(scaled.stats().total_bytes(), 8 * t.stats().total_bytes());
-        // scaling down clamps at one byte per element
-        let tiny = scale_volume(&t, 1e-9);
-        assert!(tiny.stats().p2p_bytes >= 2); // 2 repeats × 1 byte
     }
 }

@@ -1,19 +1,21 @@
 //! The two-level shared state of the analysis server.
 //!
-//! **Level 1 — [`TopoCache`]:** one [`SharedRoutes`] (a flat
-//! [`RouteTable`] or a [`CompressedRouteTable`]) per distinct canonical
-//! topology spec, shared across every worker thread via `Arc<OnceLock<_>>`.
-//! The per-spec `OnceLock` gives single-flight semantics: when eight
-//! concurrent requests name the same topology, exactly one thread builds
-//! the table (the expensive part of a replay, per PR 3) and the other
-//! seven block on the lock and then share the finished `Arc`. Which table
-//! a machine gets is the topology crate's [`StoragePlan`]; machines it
-//! routes with lazy rows are never cached, and the caller builds those
-//! rows per request. The level is bounded: finished tables are LRU-evicted
-//! by `memory_bytes()` until all but the largest fit a fixed 64 MiB, so
-//! one table of any size the plan caches stays beside the small ones.
-//! The table just filled is never evicted, and an evicted spec is
-//! restored from the store or rebuilt on its next use.
+//! **Level 1 — [`TopoCache`]:** one [`SharedRoutes`] per distinct
+//! canonical topology spec, shared across every worker thread via
+//! `Arc<OnceLock<_>>`. `SharedRoutes` (a flat or a compressed route table)
+//! and the [`StoragePlan`] that picks and builds it live in
+//! `netloc_topology::routetable`; this module re-exports `SharedRoutes`
+//! and only caches it. The per-spec `OnceLock` gives single-flight
+//! semantics: when eight concurrent requests name the same topology,
+//! exactly one thread builds the table (the expensive part of a replay,
+//! per PR 3) and the other seven block on the lock and then share the
+//! finished `Arc`. Machines the plan routes with lazy rows are never
+//! cached, and the caller builds those rows per request. The level is
+//! bounded: finished tables are LRU-evicted by `memory_bytes()` until all
+//! but the largest fit a fixed 64 MiB, so one table of any size the plan
+//! caches stays beside the small ones. The table just filled is never
+//! evicted, and an evicted spec is restored from the store or rebuilt on
+//! its next use.
 //!
 //! **Level 2 — [`ResultCache`]:** content-addressed response bytes. The key
 //! is [`analysis_key`]: `analyze|digest(trace)|topology|mapping` (specs in
@@ -30,76 +32,20 @@
 //! a memory miss consults the disk (digest-verified) before recomputing,
 //! and every build/insert is queued to the store's background writer. A
 //! restart with the same `--data-dir` therefore starts warm — route
-//! tables deserialize via `RouteTable::from_bytes` instead of rebuilding,
-//! and cached responses come back byte-identical (see [`tiered_get`]).
+//! tables deserialize via [`SharedRoutes::from_bytes`] instead of
+//! rebuilding, and cached responses come back byte-identical (see
+//! [`tiered_get`]).
 
 use crate::store::{DiskStore, Kind};
 use netloc_core::canon::{content_digest, digest_hex};
+pub use netloc_topology::routetable::SharedRoutes;
 use netloc_topology::routetable::StoragePlan;
-use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, Topology};
+use netloc_topology::Topology;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// A cached route representation: either the flat all-pairs CSR or the
-/// per-router compressed table for machines past the dense limit. Both
-/// serialize to self-describing blobs (the compressed codec leads with a
-/// magic the flat decoder rejects, and vice versa), so one disk `Kind`
-/// stores either.
-#[derive(Clone)]
-pub enum SharedRoutes {
-    /// Flat all-pairs CSR ([`StoragePlan::Dense`]).
-    Flat(Arc<RouteTable>),
-    /// Compressed per-router-pair core table ([`StoragePlan::Compressed`]).
-    Compressed(Arc<CompressedRouteTable>),
-}
-
-impl SharedRoutes {
-    /// Number of nodes the routes cover.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            SharedRoutes::Flat(t) => t.num_nodes(),
-            SharedRoutes::Compressed(t) => t.num_nodes(),
-        }
-    }
-
-    /// Serialize to the variant's own byte format (self-describing).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            SharedRoutes::Flat(t) => t.to_bytes(),
-            SharedRoutes::Compressed(t) => t.to_bytes(),
-        }
-    }
-
-    /// Decode either variant: the compressed codec's leading magic
-    /// dispatches, and each decoder rejects the other's blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SharedRoutes, String> {
-        if let Ok(t) = CompressedRouteTable::from_bytes(bytes) {
-            return Ok(SharedRoutes::Compressed(Arc::new(t)));
-        }
-        RouteTable::from_bytes(bytes).map(|t| SharedRoutes::Flat(Arc::new(t)))
-    }
-
-    /// Exact heap footprint of the table, the unit of the cache budget.
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            SharedRoutes::Flat(t) => t.memory_bytes(),
-            SharedRoutes::Compressed(t) => t.memory_bytes(),
-        }
-    }
-
-    /// Wrap `topo` with this cached storage.
-    pub fn routed<'a>(&self, topo: &'a dyn Topology) -> RoutedTopology<'a> {
-        match self {
-            SharedRoutes::Flat(t) => RoutedTopology::with_shared_table(topo, Arc::clone(t)),
-            SharedRoutes::Compressed(t) => {
-                RoutedTopology::with_shared_compressed(topo, Arc::clone(t))
-            }
-        }
-    }
-}
 
 /// Byte budget of the route-table cache, in `memory_bytes()` of the
 /// finished tables it holds apart from the largest. A dense table of the
@@ -173,10 +119,8 @@ impl TopoCache {
     /// concurrent callers block on one build). Returns `None` when the
     /// plan routes the machine with lazy rows, which are never cached.
     pub fn shared_routes(&self, canonical_spec: &str, topo: &dyn Topology) -> Option<SharedRoutes> {
-        let flat = match StoragePlan::of(topo) {
-            StoragePlan::Dense => true,
-            StoragePlan::Compressed => false,
-            StoragePlan::LazyCompressed | StoragePlan::Lazy => return None,
+        let plan @ (StoragePlan::Dense | StoragePlan::Compressed) = StoragePlan::of(topo) else {
+            return None;
         };
         let cell = {
             let mut slots = self.slots.lock().expect("topo cache lock");
@@ -196,7 +140,7 @@ impl TopoCache {
         let routes = cell
             .get_or_init(|| {
                 filled = true;
-                self.fill(canonical_spec, topo, flat)
+                self.fill(canonical_spec, topo, plan)
             })
             .clone();
         if filled {
@@ -207,7 +151,7 @@ impl TopoCache {
 
     /// Restore the planned table from the store, or build it and queue it
     /// for the store.
-    fn fill(&self, canonical_spec: &str, topo: &dyn Topology, flat: bool) -> SharedRoutes {
+    fn fill(&self, canonical_spec: &str, topo: &dyn Topology, plan: StoragePlan) -> SharedRoutes {
         // Read-through: a verified disk entry that decodes to the planned
         // representation for the same machine size replaces the
         // expensive build.
@@ -216,20 +160,15 @@ impl TopoCache {
             .as_ref()
             .and_then(|store| store.get(Kind::Table, canonical_spec))
             .and_then(|bytes| SharedRoutes::from_bytes(&bytes).ok())
-            .filter(|routes| {
-                matches!(routes, SharedRoutes::Flat(_)) == flat
-                    && routes.num_nodes() == topo.num_nodes()
-            });
+            .filter(|routes| routes.plan() == plan && routes.num_nodes() == topo.num_nodes());
         if let Some(routes) = restored {
             self.from_disk.fetch_add(1, Ordering::Relaxed);
             return routes;
         }
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let routes = if flat {
-            SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))
-        } else {
-            SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
-        };
+        let routes = plan
+            .build_table(topo)
+            .expect("the cached plans build a table");
         if let Some(store) = &self.store {
             store.put(Kind::Table, canonical_spec, &routes.to_bytes());
         }
@@ -517,7 +456,7 @@ pub struct ResultCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netloc_topology::Torus3D;
+    use netloc_topology::{CompressedRouteTable, RouteTable, Torus3D};
 
     #[test]
     fn topo_cache_builds_once_across_threads() {

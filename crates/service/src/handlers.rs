@@ -81,8 +81,9 @@ fn jobs_route(state: &Arc<AppState>, req: &Request) -> Response {
     }
 }
 
-/// Decode a `"name": ["s", ...]` field into its strings.
-fn str_array_field(
+/// Decode a `"name": ["s", ...]` field into its strings. Shared with the
+/// job subsystem, which decodes stored manifests with it.
+pub(crate) fn str_array_field(
     fields: &[(String, Value)],
     name: &str,
 ) -> Result<Option<Vec<String>>, Response> {
@@ -115,8 +116,8 @@ fn u64_from(value: &Value) -> Option<u64> {
 }
 
 /// Decode the optional `"shard": {"seed": S, "count": N, "index": I}`
-/// selector of a fanned-out job.
-fn decode_shard(fields: &[(String, Value)]) -> Result<Option<ShardSpec>, Response> {
+/// selector of a fanned-out job, from a submission or a stored manifest.
+pub(crate) fn decode_shard(fields: &[(String, Value)]) -> Result<Option<ShardSpec>, Response> {
     let bad = |msg: &str| Response::error(400, &format!("bad 'shard': {msg}"));
     match field(fields, "shard") {
         None | Some(Value::Null) => Ok(None),
@@ -475,7 +476,7 @@ fn obj(value: &Value) -> Result<&[(String, Value)], Response> {
     }
 }
 
-fn field<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
+pub(crate) fn field<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 

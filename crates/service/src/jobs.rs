@@ -32,6 +32,7 @@
 //! instances and merge the results byte-identically to a local run.
 
 use crate::cache::{analysis_key, tiered_get, tiered_insert, workload_digest, CacheTier};
+use crate::handlers::{decode_shard, field, str_array_field};
 use crate::payload;
 use crate::server::{AppState, Work};
 use crate::store::Kind;
@@ -560,8 +561,9 @@ pub fn run_cell(state: &Arc<AppState>, job: &Arc<Job>, pos: usize) {
 /// Recover every persisted job at startup: scan the manifests, rebuild
 /// each grid, mark durable cells done, and re-enqueue the rest.
 /// Cancelled manifests are registered (so their ids still answer) but
-/// never enqueued. Manifests that no longer parse — from an
-/// incompatible past version — are dropped from the store.
+/// never enqueued. Manifests that do not parse — from an incompatible
+/// past version, or with a shard selector `POST /v1/jobs` rejects — are
+/// dropped from the store.
 pub fn resume_all(state: &Arc<AppState>) {
     let Some(store) = state.store.clone() else {
         return;
@@ -584,52 +586,23 @@ pub fn resume_all(state: &Arc<AppState>) {
     }
 }
 
+/// Decode a stored manifest with the decoders `POST /v1/jobs` uses, so a
+/// shard selector a submission would reject drops the manifest too. Its
+/// workloads were canonicalized on submit and are taken as stored.
 fn parse_manifest(payload: &[u8]) -> Option<(GridSpec, Option<ShardSpec>, bool)> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let value: Value = serde_json::from_str(text).ok()?;
+    let value: Value = serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?;
     let Value::Object(fields) = &value else {
         return None;
     };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let strings = |name: &str| -> Option<Vec<String>> {
-        match get(name)? {
-            Value::Array(items) => items
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .collect(),
-            _ => None,
-        }
-    };
-    let cancelled = matches!(get("cancelled"), Some(Value::Bool(true)));
-    let shard = match get("shard") {
-        None | Some(Value::Null) => None,
-        Some(Value::Object(sf)) => {
-            let num = |name: &str| -> Option<u64> {
-                sf.iter()
-                    .find(|(k, _)| k == name)
-                    .and_then(|(_, v)| match v {
-                        Value::UInt(n) => u64::try_from(*n).ok(),
-                        Value::Int(n) => u64::try_from(*n).ok(),
-                        _ => None,
-                    })
-            };
-            Some(ShardSpec {
-                count: u32::try_from(num("count")?).ok()?,
-                index: u32::try_from(num("index")?).ok()?,
-                seed: num("seed")?,
-            })
-        }
-        Some(_) => return None,
-    };
+    let strings = |name: &str| str_array_field(fields, name).ok().flatten();
     let grid = GridSpec::parse(
         &strings("topologies")?,
         &strings("mappings")?,
         &strings("workloads")?,
     )
     .ok()?;
+    let shard = decode_shard(fields).ok()?;
+    let cancelled = matches!(field(fields, "cancelled"), Some(Value::Bool(true)));
     Some((grid, shard, cancelled))
 }
 

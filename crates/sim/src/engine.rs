@@ -533,16 +533,11 @@ pub fn simulate_trace(trace: &Trace, topo: &dyn Topology, cfg: &SimConfig) -> Si
     report
 }
 
-/// Uncontended completion time of one message (for reference calculations):
-/// `hops · (bytes/BW + hop_latency)`.
-pub fn uncontended_latency(hops: u32, bytes: u64, cfg: &SimConfig) -> f64 {
-    hops as f64 * (bytes as f64 / cfg.bandwidth + cfg.hop_latency_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::refsim::simulate_reference;
+    use netloc_topology::routetable::StoragePlan;
     use netloc_topology::Torus3D;
 
     fn line4() -> Torus3D {
@@ -709,7 +704,7 @@ mod tests {
             c.forwarding = forwarding;
             c.hop_latency_s = 100e-9;
             let reference = simulate_reference(&topo, &m, &msgs, &c);
-            let routed = RoutedTopology::dense(&topo);
+            let routed = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
             for workers in [1usize, 2, 3, 0] {
                 for window in [1usize, 7, 500, 0, usize::MAX] {
                     let exec = SimExec { workers, window };
@@ -730,7 +725,7 @@ mod tests {
         let mut msgs = crowded(1_000, 27);
         let reference = simulate_reference(&topo, &m, &msgs, &cfg());
         msgs.reverse();
-        let routed = RoutedTopology::dense(&topo);
+        let routed = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
         let got = simulate_parallel(&routed, &m, &msgs, &cfg(), &SimExec::default());
         assert_eq!(got, reference);
         assert_eq!(simulate_reference(&topo, &m, &msgs, &cfg()), reference);
@@ -741,8 +736,8 @@ mod tests {
         let topo = Torus3D::new([4, 4, 1]);
         let m = Mapping::consecutive(16, 16);
         let msgs = crowded(800, 16);
-        let dense = RoutedTopology::dense(&topo);
-        let lazy = RoutedTopology::lazy(&topo);
+        let dense = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
+        let lazy = RoutedTopology::with_plan(&topo, StoragePlan::Lazy);
         let exec = SimExec::default();
         assert_eq!(
             simulate_parallel(&dense, &m, &msgs, &cfg(), &exec),

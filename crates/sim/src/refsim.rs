@@ -13,7 +13,7 @@
 //! The float arithmetic — and therefore every produced bit — is the same
 //! as the parallel engine's kernel: the same expressions evaluated in the
 //! same per-slot order, writing the same storage layout, reduced by the
-//! same [`SimReport::build`]. The contract — enforced by
+//! same `SimReport::build`. The contract — enforced by
 //! `netloc-testkit`'s sim oracle, the root property tests, and every
 //! `repro bench-sim` cell — is that [`crate::simulate_parallel`] returns
 //! a [`SimReport`] **byte-identical** to this function at every worker

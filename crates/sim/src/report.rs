@@ -4,7 +4,7 @@
 //! sharded parallel engine ([`crate::engine`]) — produce the same raw
 //! arrays (per-message outcomes in injection order, per-slot busy time,
 //! per-slot-per-window busy time) and hand them to one shared builder,
-//! [`SimReport::build`]. Every aggregate is therefore reduced in a fixed
+//! `SimReport::build`. Every aggregate is therefore reduced in a fixed
 //! order regardless of which engine (or how many workers) produced the
 //! inputs, which is what lets `netloc verify` demand *byte-identical*
 //! reports rather than tolerance comparisons.

@@ -8,6 +8,7 @@
 use netloc_sim::{
     simulate_parallel, simulate_reference, Forwarding, Injection, SimConfig, SimExec, SimReport,
 };
+use netloc_topology::routetable::StoragePlan;
 use netloc_topology::{Dragonfly, FatTree, Mapping, RoutedTopology, Topology, Torus3D};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -181,7 +182,7 @@ fn link_vector_conserves_totals_and_parallel_agrees() {
             report.used_links
         );
 
-        let routed = RoutedTopology::dense(topo.as_ref());
+        let routed = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
         let exec = SimExec {
             workers: rng.gen_range(1usize..4),
             window: rng.gen_range(1usize..100),

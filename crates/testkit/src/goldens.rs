@@ -78,7 +78,7 @@ const MAX_DIFF_LINES: usize = 20;
 
 /// Readable line-level diff: every differing line with its number, `-`
 /// for expected (golden) and `+` for actual (live), truncated after
-/// [`MAX_DIFF_LINES`] hunks.
+/// `MAX_DIFF_LINES` hunks.
 pub fn diff_lines(expected: &str, actual: &str) -> String {
     let exp: Vec<&str> = expected.lines().collect();
     let act: Vec<&str> = actual.lines().collect();

@@ -10,8 +10,7 @@
 
 use crate::corpus::CorpusConfig;
 use netloc_core::netmodel::{
-    analyze_network, analyze_network_chunked, analyze_network_rank_pairs, analyze_network_routed,
-    NetworkReport,
+    analyze_network, analyze_network_routed, analyze_network_routed_chunked, NetworkReport,
 };
 use netloc_core::refmodel::analyze_network_reference;
 use netloc_core::{
@@ -23,6 +22,7 @@ use netloc_sim::{
     expand_trace, simulate_parallel, simulate_reference, Forwarding, SimConfig, SimExec, SimReport,
 };
 use netloc_topology::bfs::{validate_walk, BfsRouter};
+use netloc_topology::routetable::StoragePlan;
 use netloc_topology::{NodeId, RouteTable, RoutedTopology, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -123,30 +123,33 @@ pub fn check_routes(topo: &dyn Topology, allow_one_hop_detour: bool) -> (Vec<Str
     (violations, pairs)
 }
 
+/// The storage modes of `topo` besides the dense table, labelled: lazy flat
+/// rows and, on router-symmetric machines, the compressed table and lazy
+/// compressed rows.
+fn lazy_and_compressed_modes(topo: &dyn Topology) -> Vec<(&'static str, RoutedTopology<'_>)> {
+    let mut plans = vec![("lazy route rows", StoragePlan::Lazy)];
+    if topo.symmetry_hint().is_some() {
+        plans.push(("compressed table", StoragePlan::Compressed));
+        plans.push(("lazy compressed rows", StoragePlan::LazyCompressed));
+    }
+    plans
+        .into_iter()
+        .map(|(label, plan)| (label, RoutedTopology::with_plan(topo, plan)))
+        .collect()
+}
+
 /// Compare the precomputed CSR storage against direct routing for every
-/// node pair: the dense [`RouteTable`](netloc_topology::RouteTable) and the
-/// lazy per-source rows must both return routes *byte-identical* to
-/// [`Topology::route_into`], with matching CSR hop counts. Router-symmetric
-/// topologies additionally check the compressed per-router table and the
-/// lazy compressed core rows on every pair.
+/// node pair: the dense [`RouteTable`] and the lazy per-source rows must
+/// both return routes *byte-identical* to [`Topology::route_into`], with
+/// matching CSR hop counts. Router-symmetric topologies additionally check
+/// the compressed per-router table and the lazy compressed core rows on
+/// every pair.
 ///
 /// Returns violations; the second tuple element is the number of pairs
 /// checked (each pair checks every applicable storage mode).
 pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
     let table = RouteTable::build(topo);
-    let lazy = RoutedTopology::lazy(topo);
-    let symmetric = topo.symmetry_hint().is_some();
-    let compressed_modes = if symmetric {
-        vec![
-            ("compressed table", RoutedTopology::compressed(topo)),
-            (
-                "lazy compressed rows",
-                RoutedTopology::lazy_compressed(topo),
-            ),
-        ]
-    } else {
-        Vec::new()
-    };
+    let modes = lazy_and_compressed_modes(topo);
     let n = topo.num_nodes();
     let mut violations = Vec::new();
     let mut pairs = 0u64;
@@ -179,13 +182,7 @@ pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
                     direct.len()
                 ));
             }
-            let lazy_route = lazy.route_of(src, dst, &mut scratch);
-            if lazy_route != direct {
-                violations.push(format!(
-                    "{s}->{d}: lazy row route {lazy_route:?} != route_into {direct:?}"
-                ));
-            }
-            for (label, routed) in &compressed_modes {
+            for (label, routed) in &modes {
                 let route = routed.route_of(src, dst, &mut scratch);
                 if route != direct {
                     violations.push(format!(
@@ -291,17 +288,8 @@ pub fn check_route_table_sampled(
     if n == 0 || max_pairs == 0 {
         return (violations, pairs);
     }
-    let mut modes = vec![
-        ("auto storage", RoutedTopology::auto(topo)),
-        ("lazy route rows", RoutedTopology::lazy(topo)),
-    ];
-    if topo.symmetry_hint().is_some() {
-        modes.push(("compressed table", RoutedTopology::compressed(topo)));
-        modes.push((
-            "lazy compressed rows",
-            RoutedTopology::lazy_compressed(topo),
-        ));
-    }
+    let mut modes = vec![("auto storage", RoutedTopology::auto(topo))];
+    modes.extend(lazy_and_compressed_modes(topo));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut direct = Vec::new();
     let mut scratch = Vec::new();
@@ -380,9 +368,9 @@ pub fn report_diff(expected: &NetworkReport, actual: &NetworkReport) -> Vec<Stri
 
 /// Differential replay check for one corpus config: every production
 /// replay path — the node-pair-deduplicated default, the same replay over
-/// dense and lazy CSR route storage, the legacy rank-pair baseline, and
-/// several explicit chunk sizes — must be byte-identical to the naive
-/// single-threaded reference.
+/// every route storage mode the machine supports, and several explicit
+/// chunk sizes — must be byte-identical to the naive single-threaded
+/// reference.
 ///
 /// Returns violations; the second tuple element is the number of replay
 /// comparisons performed.
@@ -404,20 +392,9 @@ pub fn check_replay(cfg: &CorpusConfig) -> (Vec<String>, u64) {
     // The node-pair replay over precomputed CSR storage, in every mode
     // the machine supports (compressed storage exists only on
     // router-symmetric topologies).
-    let mut storage_modes = vec![
-        ("dense route table", RoutedTopology::dense(topo.as_ref())),
-        ("lazy route rows", RoutedTopology::lazy(topo.as_ref())),
-    ];
-    if topo.symmetry_hint().is_some() {
-        storage_modes.push((
-            "compressed table",
-            RoutedTopology::compressed(topo.as_ref()),
-        ));
-        storage_modes.push((
-            "lazy compressed rows",
-            RoutedTopology::lazy_compressed(topo.as_ref()),
-        ));
-    }
+    let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
+    let mut storage_modes = vec![("dense route table", dense)];
+    storage_modes.extend(lazy_and_compressed_modes(topo.as_ref()));
     for (label, routed) in &storage_modes {
         let routed_report = analyze_network_routed(routed, &mapping, &tm);
         checks += 1;
@@ -426,17 +403,11 @@ pub fn check_replay(cfg: &CorpusConfig) -> (Vec<String>, u64) {
         }
     }
 
-    // The pre-deduplication rank-pair baseline kept for benchmarking.
-    let legacy = analyze_network_rank_pairs(topo.as_ref(), &mapping, &tm, 512);
-    checks += 1;
-    for d in report_diff(&reference, &legacy) {
-        violations.push(format!("rank-pair baseline: {d}"));
-    }
-
     // Degenerate (1), prime (7), and single-chunk sizes shake out any
     // dependence on how pairs are split across workers.
+    let direct = RoutedTopology::direct(topo.as_ref());
     for chunk in [1usize, 7, tm.num_pairs().max(1)] {
-        let chunked = analyze_network_chunked(topo.as_ref(), &mapping, &tm, chunk);
+        let chunked = analyze_network_routed_chunked(&direct, &mapping, &tm, chunk);
         checks += 1;
         for d in report_diff(&reference, &chunked) {
             violations.push(format!("chunk size {chunk}: {d}"));
@@ -743,8 +714,8 @@ pub fn check_sim(cfg: &CorpusConfig) -> (Vec<String>, u64) {
 
     let mut violations = Vec::new();
     let mut checks = 0u64;
-    let dense = RoutedTopology::dense(topo.as_ref());
-    let lazy = RoutedTopology::lazy(topo.as_ref());
+    let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
+    let lazy = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Lazy);
 
     for forwarding in [Forwarding::StoreAndForward, Forwarding::CutThrough] {
         let sim_cfg = SimConfig {
@@ -983,7 +954,7 @@ mod tests {
             let mapping = cfg.build_mapping(topo.num_nodes());
             let tm = cfg.build_traffic();
             let reference = analyze_network_reference(topo.as_ref(), &mapping, &tm);
-            let routed = RoutedTopology::dense(topo.as_ref());
+            let routed = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
             // Full-struct equality, not field spot-checks: NetworkReport is
             // all exact integers, so == is the strongest possible oracle.
             assert_eq!(

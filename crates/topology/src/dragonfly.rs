@@ -100,11 +100,6 @@ impl Dragonfly {
         self.a
     }
 
-    /// Global links per router.
-    pub fn global_links_per_router(&self) -> usize {
-        self.h
-    }
-
     /// Nodes per router.
     pub fn nodes_per_router(&self) -> usize {
         self.p

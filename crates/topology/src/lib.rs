@@ -51,7 +51,6 @@
 pub mod bfs;
 pub mod bisect;
 pub mod config;
-pub mod distmatrix;
 pub mod dragonfly;
 pub mod fattree;
 pub mod grid;
@@ -71,7 +70,6 @@ pub mod torus_nd;
 pub mod valiant;
 
 pub use config::{ConfigCatalog, TopologyConfig};
-pub use distmatrix::{DistanceMatrix, SampledDistances};
 pub use dragonfly::Dragonfly;
 pub use fattree::FatTree;
 pub use hyperx::HyperX;

@@ -219,6 +219,7 @@ pub fn anneal_mapping<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routetable::StoragePlan;
     use crate::Torus3D;
     use rand::SeedableRng;
 
@@ -243,7 +244,14 @@ mod tests {
         // Cost is a pure function of the mapping — identical across all
         // route storage modes.
         assert_eq!(c, mapping_cost(&RoutedTopology::direct(&t), &m, &traffic));
-        assert_eq!(c, mapping_cost(&RoutedTopology::lazy(&t), &m, &traffic));
+        assert_eq!(
+            c,
+            mapping_cost(
+                &RoutedTopology::with_plan(&t, StoragePlan::Lazy),
+                &m,
+                &traffic
+            )
+        );
     }
 
     #[test]

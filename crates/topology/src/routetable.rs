@@ -61,9 +61,17 @@
 //!
 //! ## One storage plan
 //!
-//! [`StoragePlan::of`] is the only place that chooses among these stores.
-//! [`RoutedTopology::auto`] follows it, and so does the analysis
-//! service's route cache, which shares the planned table across requests.
+//! [`StoragePlan::of`] is the only place that chooses among these stores,
+//! and [`StoragePlan::build_table`] is the only place that builds a
+//! planned table, as a [`SharedRoutes`] that any number of handles replay
+//! over. A [`RoutedTopology`] is made in one of four ways:
+//!
+//! * [`RoutedTopology::auto`] follows the plan of its topology;
+//! * [`RoutedTopology::with_plan`] follows a plan the caller names, which
+//!   is how the oracles and benches compare the storage modes;
+//! * [`SharedRoutes::routed`] wraps a table built earlier, such as the one
+//!   the analysis service's route cache shares across requests;
+//! * [`RoutedTopology::direct`] stores nothing and routes every lookup.
 
 use crate::link::{LinkId, NodeId};
 use crate::{SymmetryHint, Topology};
@@ -84,22 +92,22 @@ pub const DENSE_PAIR_LIMIT: usize = 4_000_000;
 pub const COMPRESSED_PAIR_LIMIT: usize = 64_000_000;
 
 /// The route storage a topology gets: the one storage decision, shared by
-/// [`RoutedTopology::auto`] and the analysis service's route cache. Each
-/// variant names the [`RoutedTopology`] constructor that builds it.
+/// [`RoutedTopology::auto`] and the analysis service's route cache.
+/// [`RoutedTopology::with_plan`] builds each variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoragePlan {
-    /// [`RoutedTopology::dense`]: `n² ≤ `[`DENSE_PAIR_LIMIT`] — O(1)
-    /// lookups, every route stored verbatim; unbeatable at paper scale.
+    /// A dense [`RouteTable`]: `n² ≤ `[`DENSE_PAIR_LIMIT`] — O(1) lookups,
+    /// every route stored verbatim; unbeatable at paper scale.
     Dense,
-    /// [`RoutedTopology::compressed`]: past the dense limit, router
-    /// symmetric, and `R² ≤ `[`COMPRESSED_PAIR_LIMIT`] — full precompute,
-    /// ~`p²` smaller than flat.
+    /// A [`CompressedRouteTable`]: past the dense limit, router symmetric,
+    /// and `R² ≤ `[`COMPRESSED_PAIR_LIMIT`] — full precompute, ~`p²`
+    /// smaller than flat.
     Compressed,
-    /// [`RoutedTopology::lazy_compressed`]: router symmetric past both
-    /// limits — core rows per touched source router.
+    /// Router symmetric past both limits — core rows per touched source
+    /// router, built on first touch.
     LazyCompressed,
-    /// [`RoutedTopology::lazy`]: past the dense limit with no usable
-    /// symmetry hint — flat rows per touched source.
+    /// Past the dense limit with no usable symmetry hint — flat
+    /// [`SourceRow`]s per touched source, built on first touch.
     Lazy,
 }
 
@@ -118,6 +126,23 @@ impl StoragePlan {
             None => StoragePlan::Lazy,
         }
     }
+
+    /// The one plan-to-table builder: the table this plan precomputes for
+    /// `topo`, or `None` for the lazy plans, whose rows each handle builds
+    /// on first touch.
+    ///
+    /// # Panics
+    /// Panics as [`RouteTable::build`] or [`CompressedRouteTable::build`]
+    /// does.
+    pub fn build_table(self, topo: &dyn Topology) -> Option<SharedRoutes> {
+        match self {
+            StoragePlan::Dense => Some(SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))),
+            StoragePlan::Compressed => Some(SharedRoutes::Compressed(Arc::new(
+                CompressedRouteTable::build(topo),
+            ))),
+            StoragePlan::LazyCompressed | StoragePlan::Lazy => None,
+        }
+    }
 }
 
 /// The `nodes_per_router` of a topology's [`SymmetryHint::RouterSymmetric`]
@@ -131,7 +156,7 @@ fn router_symmetry<T: Topology + ?Sized>(topo: &T) -> Option<usize> {
     }
 }
 
-/// Why the constructors that force compressed storage panic.
+/// Why compressed storage panics on a topology without the hint.
 const NEEDS_SYMMETRY: &str = "compressed route storage requires a router-symmetric topology";
 
 /// The CSR core of every route store: `width` entries per source, entry
@@ -610,41 +635,6 @@ impl CompressedRouteTable {
         4 * (n * n + 1) + 4 * flat_links
     }
 
-    /// Exact mean hop distance over all ordered distinct node pairs, from
-    /// the router-pair aggregates — O(1) given the CSR, where the flat
-    /// equivalent ([`crate::DistanceMatrix::mean_distance`]) needs O(n²).
-    pub fn mean_node_distance(&self) -> f64 {
-        let (n, p, r) = (
-            self.num_nodes() as u128,
-            self.nodes_per_router as u128,
-            self.num_routers() as u128,
-        );
-        if n < 2 {
-            return 0.0;
-        }
-        // Same-router pairs: 2 hops each. Cross-router pairs: 2 + core.
-        let total =
-            2 * r * p * (p - 1) + 2 * p * p * r * (r - 1) + p * p * self.total_core_links() as u128;
-        total as f64 / (n * (n - 1)) as f64
-    }
-
-    /// Exact node-level diameter from the stored cores.
-    pub fn node_diameter(&self) -> u32 {
-        if self.num_nodes() < 2 {
-            return 0;
-        }
-        let max_core = self
-            .csr
-            .offsets
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0);
-        // With no core at all (a single router), the farthest pair shares
-        // a router: two terminal hops.
-        2 + max_core
-    }
-
     /// Serialize as little-endian bytes:
     /// `[magic u64][nodes u64][p u64][offsets: (R²+1) × u32][links × u32]`.
     ///
@@ -684,9 +674,81 @@ impl CompressedRouteTable {
     }
 }
 
-/// Route storage of a [`RoutedTopology`]. Tables sit behind an [`Arc`] so
-/// many handles (e.g. the analysis service's concurrent requests against
-/// one topology) replay over one copy.
+/// A built route table, shared behind an [`Arc`] so many handles (e.g.
+/// the analysis service's concurrent requests against one topology)
+/// replay over one copy: the flat all-pairs CSR or the per-router
+/// compressed table for machines past the dense limit. Both serialize to
+/// self-describing blobs (the compressed codec leads with a magic the flat
+/// decoder rejects, and vice versa), so one store entry holds either.
+#[derive(Clone)]
+pub enum SharedRoutes {
+    /// Flat all-pairs CSR ([`StoragePlan::Dense`]).
+    Flat(Arc<RouteTable>),
+    /// Compressed per-router-pair core table ([`StoragePlan::Compressed`]).
+    Compressed(Arc<CompressedRouteTable>),
+}
+
+impl SharedRoutes {
+    /// The plan this table carries out.
+    pub fn plan(&self) -> StoragePlan {
+        match self {
+            SharedRoutes::Flat(_) => StoragePlan::Dense,
+            SharedRoutes::Compressed(_) => StoragePlan::Compressed,
+        }
+    }
+
+    /// Number of nodes the routes cover.
+    pub fn num_nodes(&self) -> usize {
+        match self {
+            SharedRoutes::Flat(t) => t.num_nodes(),
+            SharedRoutes::Compressed(t) => t.num_nodes(),
+        }
+    }
+
+    /// Exact heap footprint of the table.
+    pub fn memory_bytes(&self) -> usize {
+        match self {
+            SharedRoutes::Flat(t) => t.memory_bytes(),
+            SharedRoutes::Compressed(t) => t.memory_bytes(),
+        }
+    }
+
+    /// Serialize to the variant's own byte format (self-describing).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        match self {
+            SharedRoutes::Flat(t) => t.to_bytes(),
+            SharedRoutes::Compressed(t) => t.to_bytes(),
+        }
+    }
+
+    /// Decode either variant: the compressed codec's leading magic
+    /// dispatches, and each decoder rejects the other's blobs.
+    pub fn from_bytes(bytes: &[u8]) -> Result<SharedRoutes, String> {
+        if let Ok(t) = CompressedRouteTable::from_bytes(bytes) {
+            return Ok(SharedRoutes::Compressed(Arc::new(t)));
+        }
+        RouteTable::from_bytes(bytes).map(|t| SharedRoutes::Flat(Arc::new(t)))
+    }
+
+    /// A handle that replays `topo` over this table without copying it.
+    ///
+    /// # Panics
+    /// Panics if the table's node count does not match the topology's.
+    pub fn routed<'a>(&self, topo: &'a dyn Topology) -> RoutedTopology<'a> {
+        assert_eq!(
+            self.num_nodes(),
+            topo.num_nodes(),
+            "route table built for a different machine size"
+        );
+        let storage = match self {
+            SharedRoutes::Flat(t) => Storage::Dense(Arc::clone(t)),
+            SharedRoutes::Compressed(t) => Storage::Compressed(Arc::clone(t)),
+        };
+        RoutedTopology { topo, storage }
+    }
+}
+
+/// Route storage of a [`RoutedTopology`].
 enum Storage {
     /// Full dense CSR table.
     Dense(Arc<RouteTable>),
@@ -705,92 +767,63 @@ enum Storage {
 /// A topology bundled with precomputed (or on-demand) routes — the handle
 /// the replay engine and the mapping optimizers consume.
 ///
-/// All modes answer [`route_of`](RoutedTopology::route_of) and
+/// All storage modes answer [`route_of`](RoutedTopology::route_of) and
 /// [`hops`](RoutedTopology::hops) with identical values; they only trade
 /// memory for lookup cost:
 ///
-/// * [`dense`](RoutedTopology::dense) — one [`RouteTable`], O(1) slice
-///   lookups, `O(n²·hops̄)` memory. Best for sweeps at paper scale.
-/// * [`compressed`](RoutedTopology::compressed) — one
-///   [`CompressedRouteTable`] over router pairs, terminal hops expanded
-///   into the caller's scratch. Best for router-symmetric machines past
-///   the dense limit (100k–1M endpoints).
-/// * [`lazy`](RoutedTopology::lazy) — one [`SourceRow`] per *touched*
-///   source, built on first use. Best when the machine is much larger
-///   than the communicating node set (e.g. the 13 824-node fat tree).
-/// * [`lazy_compressed`](RoutedTopology::lazy_compressed) — one core row
-///   per *touched source router*, for symmetric machines past even
-///   [`COMPRESSED_PAIR_LIMIT`].
+/// * [`StoragePlan::Dense`] — one [`RouteTable`], O(1) slice lookups,
+///   `O(n²·hops̄)` memory. Best for sweeps at paper scale.
+/// * [`StoragePlan::Compressed`] — one [`CompressedRouteTable`] over
+///   router pairs, terminal hops expanded into the caller's scratch. Best
+///   for router-symmetric machines past the dense limit (100k–1M
+///   endpoints).
+/// * [`StoragePlan::Lazy`] — one [`SourceRow`] per *touched* source,
+///   built on first use. Best when the machine is much larger than the
+///   communicating node set (e.g. the 13 824-node fat tree).
+/// * [`StoragePlan::LazyCompressed`] — one core row per *touched source
+///   router*, for symmetric machines past even [`COMPRESSED_PAIR_LIMIT`].
 /// * [`direct`](RoutedTopology::direct) — no caching; lookups route into
 ///   a caller-provided scratch buffer. Best for one-shot replays.
 ///
-/// [`auto`](RoutedTopology::auto) picks among the first four by the
-/// [`StoragePlan`].
+/// The module docs list the four ways to make one.
 pub struct RoutedTopology<'a> {
     topo: &'a dyn Topology,
     storage: Storage,
 }
 
 impl<'a> RoutedTopology<'a> {
-    /// Precompute the full dense table up front.
-    pub fn dense(topo: &'a dyn Topology) -> Self {
-        Self::with_shared_table(topo, Arc::new(RouteTable::build(topo)))
-    }
-
-    /// Borrow an already-built table behind an [`Arc`] without cloning its
-    /// CSR arrays — many handles (one per concurrent request) can replay
-    /// over one shared table.
+    /// Storage as `plan` says: a table built up front for the dense and
+    /// compressed plans (see [`StoragePlan::build_table`]), or rows built
+    /// on first touch of each source (router) for the lazy ones.
     ///
     /// # Panics
-    /// Panics if the table's node count does not match the topology's.
-    pub fn with_shared_table(topo: &'a dyn Topology, table: Arc<RouteTable>) -> Self {
-        Self::over_table(topo, table.num_nodes(), Storage::Dense(table))
-    }
-
-    /// Build per-source rows lazily, on first touch of each source.
-    pub fn lazy(topo: &'a dyn Topology) -> Self {
-        let rows = (0..topo.num_nodes()).map(|_| OnceLock::new()).collect();
-        RoutedTopology {
-            storage: Storage::Lazy(rows),
-            topo,
-        }
-    }
-
-    /// Precompute the full compressed router-pair core table up front.
-    ///
-    /// # Panics
-    /// Panics if the topology reports no usable
+    /// Panics if a compressed plan meets a topology without a usable
     /// [`SymmetryHint::RouterSymmetric`] hint.
-    pub fn compressed(topo: &'a dyn Topology) -> Self {
-        Self::with_shared_compressed(topo, Arc::new(CompressedRouteTable::build(topo)))
+    pub fn with_plan(topo: &'a dyn Topology, plan: StoragePlan) -> Self {
+        let storage = match plan {
+            StoragePlan::Dense | StoragePlan::Compressed => {
+                let table = plan.build_table(topo).expect("table plans build a table");
+                return table.routed(topo);
+            }
+            StoragePlan::Lazy => {
+                Storage::Lazy((0..topo.num_nodes()).map(|_| OnceLock::new()).collect())
+            }
+            StoragePlan::LazyCompressed => {
+                let p = router_symmetry(topo).expect(NEEDS_SYMMETRY);
+                let rows = (0..topo.num_nodes() / p).map(|_| OnceLock::new()).collect();
+                Storage::LazyCompressed(p, rows)
+            }
+        };
+        RoutedTopology { topo, storage }
     }
 
-    /// Borrow an already-built compressed table behind an [`Arc`] — the
-    /// compressed analogue of
-    /// [`with_shared_table`](RoutedTopology::with_shared_table).
-    ///
-    /// # Panics
-    /// Panics if the table's node count does not match the topology's.
-    pub fn with_shared_compressed(
-        topo: &'a dyn Topology,
-        table: Arc<CompressedRouteTable>,
-    ) -> Self {
-        Self::over_table(topo, table.num_nodes(), Storage::Compressed(table))
-    }
-
-    /// Build per-source-router core rows lazily, on first touch of each
-    /// source router.
-    ///
-    /// # Panics
-    /// Panics if the topology reports no usable
-    /// [`SymmetryHint::RouterSymmetric`] hint.
-    pub fn lazy_compressed(topo: &'a dyn Topology) -> Self {
-        let p = router_symmetry(topo).expect(NEEDS_SYMMETRY);
-        let rows = (0..topo.num_nodes() / p).map(|_| OnceLock::new()).collect();
-        RoutedTopology {
-            storage: Storage::LazyCompressed(p, rows),
-            topo,
-        }
+    /// Storage as [`StoragePlan::of`] plans it for `topo`: dense up to
+    /// [`DENSE_PAIR_LIMIT`] node pairs; above that, compressed storage when
+    /// the topology advertises router symmetry (full table up to
+    /// [`COMPRESSED_PAIR_LIMIT`] router pairs, lazy core rows beyond); lazy
+    /// flat rows otherwise.
+    pub fn auto(topo: &'a dyn Topology) -> Self {
+        Self::with_plan(topo, StoragePlan::of(topo))
     }
 
     /// No precomputation: lookups route into the caller's scratch buffer.
@@ -799,33 +832,6 @@ impl<'a> RoutedTopology<'a> {
             storage: Storage::Direct,
             topo,
         }
-    }
-
-    /// Pick storage by the [`StoragePlan`]: dense up to
-    /// [`DENSE_PAIR_LIMIT`] node pairs; above that, compressed storage when
-    /// the topology advertises router symmetry (full table up to
-    /// [`COMPRESSED_PAIR_LIMIT`] router pairs, lazy core rows beyond); lazy
-    /// flat rows otherwise.
-    pub fn auto(topo: &'a dyn Topology) -> Self {
-        match StoragePlan::of(topo) {
-            StoragePlan::Dense => Self::dense(topo),
-            StoragePlan::Compressed => Self::compressed(topo),
-            StoragePlan::LazyCompressed => Self::lazy_compressed(topo),
-            StoragePlan::Lazy => Self::lazy(topo),
-        }
-    }
-
-    /// A handle over a table of `nodes` nodes.
-    ///
-    /// # Panics
-    /// Panics if `nodes` does not match the topology's node count.
-    fn over_table(topo: &'a dyn Topology, nodes: usize, storage: Storage) -> Self {
-        assert_eq!(
-            nodes,
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology { topo, storage }
     }
 
     /// The wrapped topology.
@@ -957,8 +963,8 @@ mod tests {
     #[test]
     fn lazy_and_direct_agree_with_dense() {
         for topo in all_topos() {
-            let dense = RoutedTopology::dense(topo.as_ref());
-            let lazy = RoutedTopology::lazy(topo.as_ref());
+            let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
+            let lazy = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Lazy);
             let direct = RoutedTopology::direct(topo.as_ref());
             let n = topo.num_nodes();
             let (mut b1, mut b2, mut b3) = (Vec::new(), Vec::new(), Vec::new());
@@ -1022,9 +1028,9 @@ mod tests {
     fn shared_table_agrees_with_dense_across_handles() {
         let topo = Torus3D::new([3, 3, 2]);
         let table = Arc::new(RouteTable::build(&topo));
-        let a = RoutedTopology::with_shared_table(&topo, Arc::clone(&table));
-        let b = RoutedTopology::with_shared_table(&topo, Arc::clone(&table));
-        let dense = RoutedTopology::dense(&topo);
+        let shared = SharedRoutes::Flat(Arc::clone(&table));
+        let (a, b) = (shared.routed(&topo), shared.routed(&topo));
+        let dense = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
         let (mut s1, mut s2, mut s3) = (Vec::new(), Vec::new(), Vec::new());
         for s in 0..topo.num_nodes() {
             for d in 0..topo.num_nodes() {
@@ -1037,8 +1043,8 @@ mod tests {
         }
         assert!(a.is_precomputed());
         assert!(a.table().is_some());
-        // Three consumers, one CSR allocation.
-        assert_eq!(Arc::strong_count(&table), 3);
+        // Four consumers, one CSR allocation.
+        assert_eq!(Arc::strong_count(&table), 4);
     }
 
     #[test]
@@ -1046,8 +1052,7 @@ mod tests {
     fn shared_table_rejects_size_mismatch() {
         let a = Torus3D::new([2, 2, 2]);
         let b = Torus3D::new([3, 3, 3]);
-        let table = Arc::new(RouteTable::build(&a));
-        RoutedTopology::with_shared_table(&b, table);
+        SharedRoutes::Flat(Arc::new(RouteTable::build(&a))).routed(&b);
     }
 
     #[test]
@@ -1104,9 +1109,9 @@ mod tests {
     #[test]
     fn compressed_matches_dense_everywhere() {
         for topo in symmetric_topos() {
-            let dense = RoutedTopology::dense(topo.as_ref());
-            let compressed = RoutedTopology::compressed(topo.as_ref());
-            let lazy_c = RoutedTopology::lazy_compressed(topo.as_ref());
+            let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
+            let compressed = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Compressed);
+            let lazy_c = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::LazyCompressed);
             let n = topo.num_nodes();
             let (mut b1, mut b2, mut b3) = (Vec::new(), Vec::new(), Vec::new());
             for s in 0..n {
@@ -1138,22 +1143,6 @@ mod tests {
         assert_eq!(table.flat_projection_bytes(), flat.memory_bytes() as u128);
         let ratio = table.flat_projection_bytes() as f64 / table.memory_bytes() as f64;
         assert!(ratio >= 10.0, "compression ratio only {ratio:.1}");
-    }
-
-    #[test]
-    fn compressed_distance_aggregates_are_exact() {
-        for topo in symmetric_topos() {
-            let table = CompressedRouteTable::build(topo.as_ref());
-            let matrix = crate::DistanceMatrix::new(topo.as_ref());
-            assert_eq!(table.node_diameter(), matrix.diameter(), "{}", topo.name());
-            assert!(
-                (table.mean_node_distance() - matrix.mean_distance()).abs() < 1e-12,
-                "{}: {} vs {}",
-                topo.name(),
-                table.mean_node_distance(),
-                matrix.mean_distance()
-            );
-        }
     }
 
     #[test]
@@ -1274,16 +1263,16 @@ mod tests {
     #[should_panic(expected = "router-symmetric")]
     fn compressed_rejects_topologies_without_symmetry() {
         let t = Torus3D::new([3, 3, 3]);
-        RoutedTopology::compressed(&t);
+        RoutedTopology::with_plan(&t, StoragePlan::Compressed);
     }
 
     #[test]
     fn shared_compressed_agrees_across_handles() {
         let topo = crate::SlimFly::new(5, 2);
         let table = Arc::new(CompressedRouteTable::build(&topo));
-        let a = RoutedTopology::with_shared_compressed(&topo, Arc::clone(&table));
-        let b = RoutedTopology::with_shared_compressed(&topo, Arc::clone(&table));
-        let dense = RoutedTopology::dense(&topo);
+        let shared = SharedRoutes::Compressed(Arc::clone(&table));
+        let (a, b) = (shared.routed(&topo), shared.routed(&topo));
+        let dense = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
         let (mut s1, mut s2, mut s3) = (Vec::new(), Vec::new(), Vec::new());
         for s in 0..topo.num_nodes() {
             for d in 0..topo.num_nodes() {
@@ -1294,6 +1283,6 @@ mod tests {
                 assert_eq!(a.hops(s, d), r.len() as u32);
             }
         }
-        assert_eq!(Arc::strong_count(&table), 3);
+        assert_eq!(Arc::strong_count(&table), 4);
     }
 }

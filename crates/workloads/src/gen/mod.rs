@@ -73,12 +73,6 @@ impl Pattern {
         }
     }
 
-    /// Add a symmetric pair of p2p entries.
-    pub fn p2p_bidir(&mut self, a: u32, b: u32, weight: f64, repeat: u64) {
-        self.p2p(a, b, weight, repeat);
-        self.p2p(b, a, weight, repeat);
-    }
-
     /// Add a world collective.
     pub fn coll(&mut self, op: CollectiveOp, root: Option<usize>, weight: f64, repeat: u64) {
         self.colls.push(CollSpec {

@@ -42,7 +42,8 @@
 //! `TRACE` is a file in the dumpi-like text format (see `netloc_mpi::dumpi`)
 //! or the columnar format (see `netloc_mpi::colfmt`), told apart by magic
 //! bytes; `-` reads from stdin. Window and bin counts (`--windows`,
-//! `--bins`) are bounded by `netloc_core::MAX_WINDOWS`, the service's bound.
+//! `--bins`) are bounded by `netloc_core::MAX_WINDOWS`, the service's bound;
+//! `--max-msgs` (default 2 000 000) takes any positive count.
 //! Topology SPECs (parsed by `netloc_topology::spec`, shared with the
 //! analysis service):
 //!
@@ -72,6 +73,7 @@ use netloc::topology::optimize::greedy_mapping;
 use netloc::topology::{MappingSpec, RoutedTopology, Topology, TopologySpec};
 use netloc::workloads::App;
 use std::io::Read as _;
+use std::ops::RangeInclusive;
 use std::process::exit;
 
 fn main() {
@@ -117,14 +119,18 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// A count flag bounded to `min..=MAX_WINDOWS` (absent: `None`); any
-/// other value exits 2 with a usage message.
-fn count_flag(args: &[String], name: &str, min: usize) -> Option<usize> {
+/// A count flag bounded to `range` (absent: `None`); any other value
+/// exits 2 with a usage message.
+fn count_flag(args: &[String], name: &str, range: RangeInclusive<usize>) -> Option<usize> {
     let value = flag_value(args, name)?;
     match value.parse() {
-        Ok(n) if (min..=MAX_WINDOWS).contains(&n) => Some(n),
+        Ok(n) if range.contains(&n) => Some(n),
         _ => {
-            eprintln!("usage: {name} takes an integer in {min}..={MAX_WINDOWS}, not '{value}'");
+            let bound = match range.into_inner() {
+                (min, usize::MAX) => format!("of at least {min}"),
+                (min, max) => format!("in {min}..={max}"),
+            };
+            eprintln!("usage: {name} takes an integer {bound}, not '{value}'");
             exit(2);
         }
     }
@@ -241,7 +247,7 @@ fn convert_cmd(args: &[String]) {
 }
 
 fn stats(args: &[String]) {
-    let windows = count_flag(args, "--windows", 1);
+    let windows = count_flag(args, "--windows", 1..=MAX_WINDOWS);
     let ing = load_ingest(args);
     let trace = &ing.trace;
     if args.iter().any(|a| a == "--json") {
@@ -488,8 +494,10 @@ fn heatmap_cmd(args: &[String]) {
 
 fn simulate_cmd(args: &[String]) {
     use netloc::sim::{simulate_trace, SimConfig};
-    // 0 windows means no congestion profile.
-    let report_windows = count_flag(args, "--windows", 0);
+    // 0 windows means no congestion profile. The message cap has no upper
+    // bound: the expansion never emits more injections than it allows.
+    let report_windows = count_flag(args, "--windows", 0..=MAX_WINDOWS);
+    let max_msgs = count_flag(args, "--max-msgs", 1..=usize::MAX);
     let ing = load_ingest(args);
     let trace = &ing.trace;
     let spec = flag_value(args, "--topology").unwrap_or("auto");
@@ -508,13 +516,12 @@ fn simulate_cmd(args: &[String]) {
         MappingSpec::Consecutive => None,
         spec => Some(build_mapping(spec, ranks, topo.as_ref(), &ing.matrix)),
     };
+    let defaults = SimConfig::default();
     let cfg = SimConfig {
-        max_injections: flag_value(args, "--max-msgs")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2_000_000),
+        max_injections: max_msgs.unwrap_or(defaults.max_injections),
         mapping,
-        report_windows: report_windows.unwrap_or_else(|| SimConfig::default().report_windows),
-        ..Default::default()
+        report_windows: report_windows.unwrap_or(defaults.report_windows),
+        ..defaults
     };
     let rep = simulate_trace(trace, topo.as_ref(), &cfg);
     if args.iter().any(|a| a == "--json") {
@@ -792,7 +799,7 @@ fn verify_cmd(args: &[String]) {
 }
 
 fn timeline_cmd(args: &[String]) {
-    let bins = count_flag(args, "--bins", 1).unwrap_or(32);
+    let bins = count_flag(args, "--bins", 1..=MAX_WINDOWS).unwrap_or(32);
     let trace = load_trace(args);
     let tl = Timeline::compute(&trace, bins);
     println!("window: {:.4} s, bins: {bins}", tl.window_s);

@@ -187,6 +187,9 @@ fn count_flags_are_bounded() {
         ["stats", &path, "--windows", "100000000"],
         ["simulate", &path, "--windows", "1000000000"],
         ["simulate", &path, "--windows", "-1"],
+        ["simulate", &path, "--max-msgs", "0"],
+        ["simulate", &path, "--max-msgs", "-1"],
+        ["simulate", &path, "--max-msgs", "abc"],
     ] {
         let out = netloc(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");

@@ -306,7 +306,8 @@ fn analyze_network_invariant_under_pair_order_and_chunking() {
     check(
         "analyze_network_invariant_under_pair_order_and_chunking",
         |rng| {
-            use netloc::core::{analyze_network, analyze_network_chunked};
+            use netloc::core::{analyze_network, analyze_network_routed_chunked};
+            use netloc::topology::RoutedTopology;
             use rand::seq::SliceRandom;
             let n = 24u32;
             let mut sends: Vec<(u32, u32, u64, u64)> = (0..rng.gen_range(5usize..60))
@@ -339,10 +340,11 @@ fn analyze_network_invariant_under_pair_order_and_chunking() {
                 "report depends on the order pairs were recorded in"
             );
             let pairs = tm.num_pairs().max(1);
+            let direct = RoutedTopology::direct(&topo);
             for chunk in [1, rng.gen_range(1..=pairs), pairs] {
                 assert_eq!(
                     base,
-                    analyze_network_chunked(&topo, &mapping, &tm, chunk),
+                    analyze_network_routed_chunked(&direct, &mapping, &tm, chunk),
                     "report depends on chunk size {chunk}"
                 );
             }
@@ -433,6 +435,7 @@ fn ingest_invariant_under_worker_count_and_chunk_size() {
 #[test]
 fn sim_invariant_under_workers_windows_and_order() {
     use netloc::sim::{expand_trace, simulate_parallel, simulate_reference, SimConfig, SimExec};
+    use netloc::topology::routetable::StoragePlan;
     use netloc::topology::RoutedTopology;
     use rand::seq::SliceRandom;
     check("sim_invariant_under_workers_windows_and_order", |rng| {
@@ -462,7 +465,7 @@ fn sim_invariant_under_workers_windows_and_order() {
             ..SimConfig::default()
         };
         let reference = simulate_reference(&topo, &mapping, &injections, &cfg);
-        let routed = RoutedTopology::dense(&topo);
+        let routed = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
         injections.shuffle(rng);
         for workers in [1usize, 2, 0] {
             let saved = rayon::set_max_workers(workers);
@@ -812,6 +815,7 @@ fn symmetric_family_routes_are_clean_walks() {
 #[test]
 fn compressed_replay_matches_dense_on_symmetric_machines() {
     use netloc::core::netmodel::analyze_network_routed;
+    use netloc::topology::routetable::StoragePlan;
     use netloc::topology::RoutedTopology;
     check(
         "compressed_replay_matches_dense_on_symmetric_machines",
@@ -829,13 +833,19 @@ fn compressed_replay_matches_dense_on_symmetric_machines() {
                 );
             }
             let mapping = Mapping::random(ranks, nodes, rng);
-            let dense =
-                analyze_network_routed(&RoutedTopology::dense(topo.as_ref()), &mapping, &tm);
+            let dense = analyze_network_routed(
+                &RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense),
+                &mapping,
+                &tm,
+            );
             for (label, routed) in [
-                ("compressed", RoutedTopology::compressed(topo.as_ref())),
+                (
+                    "compressed",
+                    RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Compressed),
+                ),
                 (
                     "lazy compressed",
-                    RoutedTopology::lazy_compressed(topo.as_ref()),
+                    RoutedTopology::with_plan(topo.as_ref(), StoragePlan::LazyCompressed),
                 ),
                 ("auto", RoutedTopology::auto(topo.as_ref())),
             ] {

@@ -6,7 +6,9 @@
 
 use netloc::bench::sweepjob::{self, RemoteOptions};
 use netloc::core::sweep::GridSpec;
-use netloc::service::{RunningServer, Server, ServerConfig};
+use netloc::service::jobs::{self, ShardSpec};
+use netloc::service::store::Kind;
+use netloc::service::{DiskStore, RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
 use netloc::testkit::fault;
 use std::net::SocketAddr;
@@ -418,6 +420,49 @@ fn half_open_progress_pollers_leak_nothing() {
         "inflight bytes must return to zero"
     );
     server.shutdown();
+}
+
+/// A stored manifest is decoded like a submission, so one whose shard
+/// selector `POST /v1/jobs` would reject (`count` 0, or `index` not below
+/// `count`) is dropped at startup like any manifest that does not parse:
+/// no job is listed or resumed, and its frame leaves the store.
+#[test]
+fn manifests_with_invalid_shards_are_dropped_at_startup() {
+    for (count, index) in [(0u32, 0u32), (2, 2)] {
+        let dir = tmpdir("bad-shard");
+        let grid = small_grid();
+        let seed = 3u64;
+        let id = jobs::job_id(&grid, Some(ShardSpec { count, index, seed }));
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            let manifest = submit_body_json(&grid, seed, count, index);
+            store.put(Kind::Job, &id, manifest.as_bytes());
+            store.flush();
+        }
+
+        let server = start(ServerConfig {
+            data_dir: Some(dir.clone()),
+            ..test_config()
+        });
+        let addr = server.addr();
+        let listed = client::get(addr, "/v1/jobs").unwrap();
+        assert_eq!(listed.status, 200, "{}", listed.body_str());
+        let serde::Value::Object(fields) = serde_json::from_str(listed.body_str()).unwrap() else {
+            panic!("the job list is an object");
+        };
+        assert!(
+            matches!(&fields[..], [(k, serde::Value::Array(jobs))] if k == "jobs" && jobs.is_empty()),
+            "shard {index}/{count}: {}",
+            listed.body_str()
+        );
+        assert_eq!(statusz_counter(addr, &["jobs", "resumed"]), 0);
+        server.shutdown();
+        assert!(
+            DiskStore::open(&dir).unwrap().scan(Kind::Job).is_empty(),
+            "shard {index}/{count}: the manifest frame must be gone"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Spawn the real `netloc serve` binary on an ephemeral port with a
