@@ -276,7 +276,7 @@ fn bench(args: &[String]) {
     banner(if smoke {
         "Replay benchmark (smoke mode)"
     } else {
-        "Replay benchmark: rank-pair baseline vs node-pair/CSR replay"
+        "Replay benchmark: rank-pair baseline vs routed per-source replay"
     });
     let report = netbench::run(smoke);
     write_or_exit(&report, out, "BENCH_netmodel.json", netbench::validate_json);

@@ -1,6 +1,6 @@
 //! Tracked replay-throughput benchmark (`repro bench`).
 //!
-//! Measures the node-pair/CSR replay path ([`analyze_network_routed`])
+//! Measures the routed per-source replay path ([`analyze_network_routed`])
 //! against the pre-route-table baseline this module keeps for the purpose
 //! (`rank_pair_baseline`) on the three paper-scale topologies:
 //!
@@ -11,11 +11,13 @@
 //! | `dragonfly-1056`| `Dragonfly::new(8,4,4)`| 1 056  | dense CSR     |
 //!
 //! Each config replays an all-to-all matrix (the paper's BigFFT-style
-//! worst case, and the pair-densest cell of any sweep) under the paper's
-//! multicore placements: consecutive (one rank per node), block (4
-//! consecutive ranks per node) and random-block (4 ranks per node, nodes
-//! scattered at random). The block placements are where node-pair
-//! deduplication bites — up to 16× fewer unique routes at 4 ranks/node.
+//! worst case, and the pair-densest cell of any sweep) under one rank per
+//! node, placed consecutively or at random (seed 1), and under the paper's
+//! multicore placements: block (4 consecutive ranks per node) and
+//! random-block (4 ranks per node, nodes scattered at random). The block
+//! placements are where the per-source fold bites — up to 16× fewer route
+//! walks at 4 ranks/node; the random placement relabels every destination
+//! out of order.
 //! Reported per cell: wall-clock, rank-pairs/s and packets/s for both
 //! paths plus the speedup. Every cell first asserts the two paths produce
 //! byte-identical [`NetworkReport`]s, so the benchmark doubles as a
@@ -120,7 +122,7 @@ pub struct BenchRow {
     pub nodes: usize,
     /// Number of ranks in the workload.
     pub ranks: u32,
-    /// Mapping label (`consecutive`, `block4`, `random-block4`).
+    /// Mapping label (`consecutive`, `random`, `block4`, `random-block4`).
     pub mapping: String,
     /// Workload label.
     pub workload: String,
@@ -136,7 +138,7 @@ pub struct BenchRow {
     pub table_build_s: f64,
     /// Pre-PR path: best wall-clock over the timing iterations.
     pub baseline_s: f64,
-    /// CSR node-pair path: best wall-clock over the timing iterations.
+    /// Routed per-source path: best wall-clock over the timing iterations.
     pub routed_s: f64,
     /// Rank pairs replayed per second, pre-PR path.
     pub baseline_pairs_per_s: f64,
@@ -300,6 +302,7 @@ pub fn run(smoke: bool) -> BenchReport {
 
         let specs = [
             ("consecutive", MappingSpec::Consecutive),
+            ("random", MappingSpec::Random { seed: 1 }),
             ("block4", MappingSpec::Block { cores: 4 }),
             (
                 "random-block4",
@@ -646,7 +649,7 @@ mod tests {
     #[test]
     fn smoke_run_produces_valid_schema() {
         let report = run(true);
-        assert_eq!(report.results.len(), 9); // 3 configs × 3 mappings
+        assert_eq!(report.results.len(), 12); // 3 configs × 4 mappings
         assert_eq!(report.scale.len(), 1); // one compressed scale cell
         let cell = &report.scale[0];
         assert_eq!(cell.spec, "slimfly:37,18");

@@ -7,12 +7,22 @@
 //! every message — exactly like the paper's model, which makes the derived
 //! quantities upper bounds ("static analyses … present an upper limit for
 //! the maximum utilization", §8).
+//!
+//! The replay runs by *source node*, in node order, over the matrix's
+//! cached [`TrafficMatrix::sorted_pairs`]: the ranks are grouped by the
+//! node they are mapped to, and each parallel task takes a run of source
+//! nodes. A node holding one rank walks that rank's run of sorted pairs,
+//! relabelling destinations as it goes; a node holding several folds their
+//! runs into one per-destination row and walks each destination's route
+//! once. Nothing is copied, sorted or hashed per replay beyond the
+//! rank grouping, and every sum is an exact integer, so the report never
+//! depends on the grouping or the chunking.
 
-use crate::fxhash::FxHashMap;
 use crate::traffic::{PairTraffic, TrafficMatrix};
 use netloc_topology::{LinkClass, Mapping, NodeId, RoutedTopology, Topology};
 use rayon::prelude::*;
 use serde::Serialize;
+use std::ops::Range;
 
 /// Maximum packet payload in bytes (§4.2.1: "MPI messages are split in the
 /// according number of packets, with a maximum payload size of 4kB").
@@ -214,87 +224,158 @@ impl Acc {
     }
 }
 
+/// One source node and its ranks, a span of [`SourceNodes::ranks`].
+struct SourceNode {
+    node: u32,
+    ranks: Range<usize>,
+}
+
+/// The ranks of a matrix grouped by the node they are mapped to, in node
+/// order — the unit of the replay's parallel chunks.
+struct SourceNodes {
+    /// Ranks sorted by `(node, rank)`.
+    ranks: Vec<u32>,
+    /// One entry per node that holds at least one rank, ascending.
+    nodes: Vec<SourceNode>,
+}
+
+impl SourceNodes {
+    fn new(mapping: &Mapping, tm: &TrafficMatrix) -> Self {
+        let mut order: Vec<(u32, u32)> = (0..tm.num_ranks())
+            .map(|r| (mapping.node_of(r as usize).0, r))
+            .collect();
+        order.sort_unstable();
+        let mut nodes: Vec<SourceNode> = Vec::new();
+        for (i, &(node, _)) in order.iter().enumerate() {
+            match nodes.last_mut() {
+                Some(last) if last.node == node => last.ranks.end = i + 1,
+                _ => nodes.push(SourceNode {
+                    node,
+                    ranks: i..i + 1,
+                }),
+            }
+        }
+        SourceNodes {
+            ranks: order.into_iter().map(|(_, r)| r).collect(),
+            nodes,
+        }
+    }
+
+    fn ranks_of(&self, src: &SourceNode) -> &[u32] {
+        &self.ranks[src.ranks.clone()]
+    }
+}
+
+/// The node-pair fold of one source node: the traffic its ranks send,
+/// summed per destination node into a row that is reset through its
+/// touched list, so a fold costs the source's pairs, not the machine.
+#[derive(Default)]
+struct DestRow {
+    row: Vec<PairTraffic>,
+    /// Destinations with traffic in `row`, each once, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl DestRow {
+    /// Fold the runs of `ranks` (all on one node) into the row. Every
+    /// stored pair carries at least one message, so an entry without
+    /// messages is untouched.
+    fn fold(&mut self, mapping: &Mapping, tm: &TrafficMatrix, ranks: &[u32]) {
+        if self.row.is_empty() {
+            self.row.resize(mapping.num_nodes(), PairTraffic::default());
+        }
+        for &r in ranks {
+            for &((_, d), p) in tm.source_run(r) {
+                let nd = mapping.node_of(d as usize).0;
+                let e = &mut self.row[nd as usize];
+                if e.messages == 0 {
+                    self.touched.push(nd);
+                }
+                e.bytes += p.bytes;
+                e.messages += p.messages;
+                e.packets += p.packets;
+            }
+        }
+    }
+
+    /// Take every folded destination with its traffic, resetting the row.
+    fn drain(&mut self) -> impl Iterator<Item = (u32, PairTraffic)> + '_ {
+        let row = &mut self.row;
+        self.touched
+            .drain(..)
+            .map(|nd| (nd, std::mem::take(&mut row[nd as usize])))
+    }
+}
+
 /// Collapse the rank-pair matrix to *node-pair* aggregates under `mapping`,
 /// sorted by node pair.
 ///
-/// The network model is linear in bytes/packets per route, so replaying
-/// each unique node pair once with summed traffic is exactly equivalent to
-/// replaying every rank pair — and under multi-rank-per-node (block)
-/// mappings many rank pairs collapse onto one node pair, shrinking the
-/// replay's working set. Rank pairs mapped to the *same* node are kept:
-/// their packets enter the report with an empty route (zero hops), exactly
-/// as in the rank-pair replay.
-///
-/// Aggregation walks the cached [`TrafficMatrix::sorted_pairs`] view (the
-/// hash-map collect + sort is paid once per matrix, not per mapping) and
-/// picks its strategy from the mapping:
-///
-/// * **injective** mappings (consecutive, random permutation) cannot merge
-///   anything — distinct rank pairs stay distinct — so the pair list is
-///   relabeled in place, and re-sorted only when the relabeling is not
-///   monotone (consecutive is; a permutation is not);
-/// * **many-ranks-per-node** mappings (block, random-block) hash-aggregate
-///   into the much smaller node-pair set before the final sort.
-///
-/// Both strategies end sorted by node pair and all sums are exact
-/// integers, so the result never depends on the strategy or hash order.
+/// The network model is linear in bytes/packets per route, so a node pair
+/// with summed traffic replays exactly like its rank pairs. Rank pairs
+/// mapped to the *same* node are kept: their packets enter the report with
+/// an empty route (zero hops). This is the replay's own per-source fold
+/// ([`analyze_network_routed`] walks the same rows unsorted); it is kept
+/// public for the benchmarks that count node pairs.
 pub fn node_pair_traffic(mapping: &Mapping, tm: &TrafficMatrix) -> Vec<((u32, u32), PairTraffic)> {
-    let relabel = |&((s, d), p): &((u32, u32), PairTraffic)| {
-        let key = (mapping.node_of(s as usize).0, mapping.node_of(d as usize).0);
-        (key, p)
-    };
-    let mut v: Vec<((u32, u32), PairTraffic)> = if mapping_is_injective(mapping) {
-        tm.sorted_pairs().iter().map(relabel).collect()
-    } else {
-        let mut acc: FxHashMap<(u32, u32), PairTraffic> = FxHashMap::default();
-        for (key, p) in tm.sorted_pairs().iter().map(relabel) {
-            let e = acc.entry(key).or_default();
-            e.bytes += p.bytes;
-            e.messages += p.messages;
-            e.packets += p.packets;
-        }
-        acc.into_iter().collect()
-    };
-    if !v.is_sorted_by_key(|(k, _)| *k) {
-        v.sort_unstable_by_key(|(k, _)| *k);
+    let sources = SourceNodes::new(mapping, tm);
+    let mut row = DestRow::default();
+    let mut out = Vec::new();
+    for src in &sources.nodes {
+        row.fold(mapping, tm, sources.ranks_of(src));
+        row.touched.sort_unstable();
+        out.extend(row.drain().map(|(nd, p)| ((src.node, nd), p)));
     }
-    v
+    out
 }
 
-/// True when no two ranks share a node (checked with a node bitset).
-fn mapping_is_injective(mapping: &Mapping) -> bool {
-    let assignment = mapping.assignment();
-    if assignment.len() > mapping.num_nodes() {
-        return false;
-    }
-    let mut seen = vec![0u64; mapping.num_nodes().div_ceil(64)];
-    for node in assignment {
-        let (w, b) = (node.0 as usize / 64, node.0 as usize % 64);
-        if seen[w] >> b & 1 == 1 {
-            return false;
-        }
-        seen[w] |= 1 << b;
-    }
-    true
-}
-
-/// Replay already-aggregated node pairs against the routes of `routed`.
-fn replay_node_pairs(
+/// Replay `tm` by source node against the routes of `routed`, `chunk`
+/// source nodes per parallel task.
+///
+/// A node holding one rank walks that rank's run of the sorted pairs and
+/// relabels destinations on the fly; a node holding several folds their
+/// runs into one destination row and walks each destination's route once.
+/// A destination node reached by several pairs is walked once per pair;
+/// every sum is an exact integer, so the report is the same either way.
+fn replay_sources(
     routed: &RoutedTopology<'_>,
-    pairs: &[((u32, u32), PairTraffic)],
-    chunk_size: usize,
+    mapping: &Mapping,
+    tm: &TrafficMatrix,
+    chunk: Option<usize>,
 ) -> NetworkReport {
-    let topo = routed.topology();
-    let classes: Vec<LinkClass> = topo.links().iter().map(|l| l.class).collect();
+    assert!(
+        mapping.num_ranks() >= tm.num_ranks() as usize,
+        "mapping covers {} ranks, traffic matrix has {}",
+        mapping.num_ranks(),
+        tm.num_ranks()
+    );
+    let classes: Vec<LinkClass> = routed.topology().links().iter().map(|l| l.class).collect();
     let num_links = classes.len();
-    let acc = pairs
-        .par_chunks(chunk_size)
+    let sources = SourceNodes::new(mapping, tm);
+    let chunk = chunk.unwrap_or_else(|| default_chunk(sources.nodes.len(), tm.num_pairs()));
+    let acc = sources
+        .nodes
+        .par_chunks(chunk)
         .map(|chunk| {
             let mut acc = Acc::new(num_links);
             let mut scratch = Vec::new();
-            for ((ns, nd), p) in chunk {
-                let route = routed.route_of(NodeId(*ns), NodeId(*nd), &mut scratch);
-                acc.visit(route, p, &classes);
+            let mut row = DestRow::default();
+            for src in chunk {
+                let ns = NodeId(src.node);
+                match sources.ranks_of(src) {
+                    &[r] => {
+                        for ((_, d), p) in tm.source_run(r) {
+                            let nd = mapping.node_of(*d as usize);
+                            acc.visit(routed.route_of(ns, nd, &mut scratch), p, &classes);
+                        }
+                    }
+                    ranks => {
+                        row.fold(mapping, tm, ranks);
+                        for (nd, p) in row.drain() {
+                            let route = routed.route_of(ns, NodeId(nd), &mut scratch);
+                            acc.visit(route, &p, &classes);
+                        }
+                    }
+                }
             }
             acc
         })
@@ -302,17 +383,13 @@ fn replay_node_pairs(
     acc.into_report(num_links)
 }
 
-fn default_chunk(pairs: usize) -> usize {
-    512.max(pairs / 256 + 1)
-}
-
-fn assert_mapping_covers(mapping: &Mapping, tm: &TrafficMatrix) {
-    assert!(
-        mapping.num_ranks() >= tm.num_ranks() as usize,
-        "mapping covers {} ranks, traffic matrix has {}",
-        mapping.num_ranks(),
-        tm.num_ranks()
-    );
+/// About four chunks per worker, so workers balance without one all-links
+/// accumulator per small slice; at least ~512 rank pairs per chunk, so a
+/// small matrix stays on the calling thread.
+fn default_chunk(source_nodes: usize, pairs: usize) -> usize {
+    let per_worker = source_nodes.div_ceil(4 * rayon::max_workers().max(1));
+    let floor = (512 * source_nodes).div_ceil(pairs.max(1));
+    per_worker.max(floor).max(1)
 }
 
 /// Replay `tm` through `topo` under `mapping` and account every packet.
@@ -333,21 +410,20 @@ pub fn analyze_network(
     analyze_network_routed(&RoutedTopology::direct(topo), mapping, tm)
 }
 
-/// Replay against precomputed (or on-demand) routes: collapse the matrix to
-/// node pairs, then walk each unique pair's CSR route once.
+/// Replay against precomputed (or on-demand) routes, one source node at a
+/// time in node order (see the module docs).
 pub fn analyze_network_routed(
     routed: &RoutedTopology<'_>,
     mapping: &Mapping,
     tm: &TrafficMatrix,
 ) -> NetworkReport {
-    assert_mapping_covers(mapping, tm);
-    let pairs = node_pair_traffic(mapping, tm);
-    replay_node_pairs(routed, &pairs, default_chunk(pairs.len()))
+    replay_sources(routed, mapping, tm, None)
 }
 
-/// [`analyze_network_routed`] with an explicit parallel chunk size.
+/// [`analyze_network_routed`] with an explicit parallel chunk size,
+/// counted in *source nodes* (nodes holding at least one rank) per task.
 ///
-/// The report must not depend on how the pair list is split across
+/// The report must not depend on how the source nodes are split across
 /// workers; the chunk size is the knob the oracles turn to assert exactly
 /// that.
 pub fn analyze_network_routed_chunked(
@@ -357,9 +433,7 @@ pub fn analyze_network_routed_chunked(
     chunk_size: usize,
 ) -> NetworkReport {
     assert!(chunk_size > 0, "chunk size must be non-zero");
-    assert_mapping_covers(mapping, tm);
-    let pairs = node_pair_traffic(mapping, tm);
-    replay_node_pairs(routed, &pairs, chunk_size)
+    replay_sources(routed, mapping, tm, Some(chunk_size))
 }
 
 #[cfg(test)]

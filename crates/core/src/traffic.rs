@@ -36,7 +36,16 @@ pub struct TrafficMatrix {
     ///
     /// [`sorted_pairs`]: TrafficMatrix::sorted_pairs
     /// [`record`]: TrafficMatrix::record
-    sorted: OnceLock<Vec<((u32, u32), PairTraffic)>>,
+    sorted: OnceLock<SortedPairs>,
+}
+
+/// The pairs sorted by `(src, dst)`, with each source rank's run located:
+/// rank `r`'s pairs are `pairs[runs[r]..runs[r + 1]]` (ranks past the last
+/// sender have no entry).
+#[derive(Debug, Clone)]
+struct SortedPairs {
+    pairs: Vec<((u32, u32), PairTraffic)>,
+    runs: Vec<usize>,
 }
 
 impl TrafficMatrix {
@@ -147,10 +156,32 @@ impl TrafficMatrix {
     /// and parallel sweeps. Computed once per matrix state and cached;
     /// [`TrafficMatrix::record`] invalidates the cache.
     pub fn sorted_pairs(&self) -> &[((u32, u32), PairTraffic)] {
+        &self.sorted().pairs
+    }
+
+    /// The pairs rank `src` sends, sorted by destination: one contiguous
+    /// run of [`TrafficMatrix::sorted_pairs`], located without a search.
+    pub(crate) fn source_run(&self, src: u32) -> &[((u32, u32), PairTraffic)] {
+        let sorted = self.sorted();
+        match sorted.runs.get(src as usize..src as usize + 2) {
+            Some(&[lo, hi]) => &sorted.pairs[lo..hi],
+            _ => &[],
+        }
+    }
+
+    fn sorted(&self) -> &SortedPairs {
         self.sorted.get_or_init(|| {
-            let mut v: Vec<_> = self.pairs.iter().map(|(k, p)| (*k, *p)).collect();
-            v.sort_unstable_by_key(|(k, _)| *k);
-            v
+            let mut pairs: Vec<_> = self.pairs.iter().map(|(k, p)| (*k, *p)).collect();
+            pairs.sort_unstable_by_key(|(k, _)| *k);
+            let sources = pairs.last().map_or(0, |&((s, _), _)| s as usize + 1);
+            let mut runs = vec![0; sources + 1];
+            for &((s, _), _) in &pairs {
+                runs[s as usize + 1] += 1;
+            }
+            for r in 1..runs.len() {
+                runs[r] += runs[r - 1];
+            }
+            SortedPairs { pairs, runs }
         })
     }
 
@@ -164,15 +195,12 @@ impl TrafficMatrix {
 
     /// [`TrafficMatrix::out_profile`] into a caller-owned buffer, so
     /// per-rank loops (selectivity curves, peers) reuse one allocation
-    /// instead of collecting a fresh `Vec` per rank. Reads the cached
-    /// [`TrafficMatrix::sorted_pairs`] view, where each source's pairs form
-    /// one contiguous run — a binary search replaces the full-map scan.
+    /// instead of collecting a fresh `Vec` per rank. Reads the source's run
+    /// of the cached [`TrafficMatrix::sorted_pairs`] view instead of
+    /// scanning the map.
     pub fn out_profile_into(&self, src: u32, out: &mut Vec<(u32, u64)>) {
         out.clear();
-        let sorted = self.sorted_pairs();
-        let lo = sorted.partition_point(|&((s, _), _)| s < src);
-        let hi = lo + sorted[lo..].partition_point(|&((s, _), _)| s == src);
-        out.extend(sorted[lo..hi].iter().map(|&((_, d), p)| (d, p.bytes)));
+        out.extend(self.source_run(src).iter().map(|&((_, d), p)| (d, p.bytes)));
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 

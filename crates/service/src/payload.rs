@@ -13,8 +13,10 @@ use netloc_core::{
     analyze_network_routed, NetworkReport, TrafficMatrix, WindowMetrics, WindowedMetrics,
 };
 use netloc_mpi::{Trace, TraceStats};
-use netloc_topology::{MappingSpec, RoutedTopology, SpecError, TopologySpec};
+use netloc_topology::optimize::TrafficEntry;
+use netloc_topology::{Mapping, MappingSpec, RoutedTopology, SpecError, TopologySpec};
 use serde::Serialize;
+use std::cell::OnceCell;
 
 /// Identifying metadata of the analyzed trace, embedded in every
 /// replay-style response.
@@ -136,6 +138,27 @@ impl AnalyzeResponse {
     }
 }
 
+/// `spec`'s mapping of the trace's ranks onto `routed`. Only `greedy`
+/// reads traffic, so only it folds `tm` into undirected entries, once per
+/// `undirected` cell however many greedy cells share it.
+fn build_mapping(
+    spec: &MappingSpec,
+    trace: &Trace,
+    tm: &TrafficMatrix,
+    routed: &RoutedTopology<'_>,
+    undirected: &OnceCell<Vec<TrafficEntry>>,
+) -> Result<Mapping, SpecError> {
+    let ranks = trace.num_ranks as usize;
+    match spec {
+        MappingSpec::Greedy => spec.build_with_traffic(
+            ranks,
+            routed,
+            undirected.get_or_init(|| tm.undirected_entries()),
+        ),
+        other => other.build(ranks, routed.num_nodes()),
+    }
+}
+
 /// Replay `trace` on `routed` (built from the already-resolved
 /// `topo_spec`) under `map_spec`, producing the response payload.
 ///
@@ -154,8 +177,7 @@ pub fn analyze(
     map_spec: &MappingSpec,
     routed: &RoutedTopology<'_>,
 ) -> Result<AnalyzeResponse, SpecError> {
-    let ranks = trace.num_ranks as usize;
-    let mapping = map_spec.build_with_traffic(ranks, routed, &tm.undirected_entries())?;
+    let mapping = build_mapping(map_spec, trace, tm, routed, &OnceCell::new())?;
     let report = analyze_network_routed(routed, &mapping, tm);
     Ok(AnalyzeResponse::from_report(
         TraceMeta::new(trace, trace_digest),
@@ -180,8 +202,7 @@ pub fn analyze_windowed(
     routed: &RoutedTopology<'_>,
     windows: usize,
 ) -> Result<AnalyzeResponse, SpecError> {
-    let ranks = trace.num_ranks as usize;
-    let mapping = map_spec.build_with_traffic(ranks, routed, &tm.undirected_entries())?;
+    let mapping = build_mapping(map_spec, trace, tm, routed, &OnceCell::new())?;
     let report = analyze_network_routed(routed, &mapping, tm);
     let windowed = netloc_core::windowed_ingest(trace, windows);
     let blocks = windowed
@@ -257,11 +278,10 @@ pub fn sweep(
     map_specs: &[MappingSpec],
     routed: &RoutedTopology<'_>,
 ) -> Result<SweepResponse, SpecError> {
-    let ranks = trace.num_ranks as usize;
-    let undirected = tm.undirected_entries();
+    let undirected = OnceCell::new();
     let mut cells = Vec::with_capacity(map_specs.len());
     for spec in map_specs {
-        let mapping = spec.build_with_traffic(ranks, routed, &undirected)?;
+        let mapping = build_mapping(spec, trace, tm, routed, &undirected)?;
         let report = analyze_network_routed(routed, &mapping, tm);
         cells.push(SweepCellResponse {
             mapping: spec.to_string(),

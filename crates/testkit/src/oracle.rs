@@ -367,10 +367,9 @@ pub fn report_diff(expected: &NetworkReport, actual: &NetworkReport) -> Vec<Stri
 }
 
 /// Differential replay check for one corpus config: every production
-/// replay path — the node-pair-deduplicated default, the same replay over
-/// every route storage mode the machine supports, and several explicit
-/// chunk sizes — must be byte-identical to the naive single-threaded
-/// reference.
+/// replay path — the per-source-node default, the same replay over every
+/// route storage mode the machine supports, and several explicit chunk
+/// sizes — must be byte-identical to the naive single-threaded reference.
 ///
 /// Returns violations; the second tuple element is the number of replay
 /// comparisons performed.
@@ -389,7 +388,7 @@ pub fn check_replay(cfg: &CorpusConfig) -> (Vec<String>, u64) {
         violations.push(format!("production path: {d}"));
     }
 
-    // The node-pair replay over precomputed CSR storage, in every mode
+    // The same replay over precomputed CSR storage, in every mode
     // the machine supports (compressed storage exists only on
     // router-symmetric topologies).
     let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
@@ -403,10 +402,11 @@ pub fn check_replay(cfg: &CorpusConfig) -> (Vec<String>, u64) {
         }
     }
 
-    // Degenerate (1), prime (7), and single-chunk sizes shake out any
-    // dependence on how pairs are split across workers.
+    // The chunk size counts source nodes per parallel task: degenerate
+    // (1), prime (7), and single-chunk (every node) sizes shake out any
+    // dependence on how source nodes are split across workers.
     let direct = RoutedTopology::direct(topo.as_ref());
-    for chunk in [1usize, 7, tm.num_pairs().max(1)] {
+    for chunk in [1usize, 7, mapping.num_nodes()] {
         let chunked = analyze_network_routed_chunked(&direct, &mapping, &tm, chunk);
         checks += 1;
         for d in report_diff(&reference, &chunked) {

@@ -339,9 +339,10 @@ fn analyze_network_invariant_under_pair_order_and_chunking() {
                 analyze_network(&topo, &mapping, &tm_shuffled),
                 "report depends on the order pairs were recorded in"
             );
-            let pairs = tm.num_pairs().max(1);
+            // Consecutive mapping: one source node per rank.
+            let sources = n as usize;
             let direct = RoutedTopology::direct(&topo);
-            for chunk in [1, rng.gen_range(1..=pairs), pairs] {
+            for chunk in [1, rng.gen_range(1..=sources), sources] {
                 assert_eq!(
                     base,
                     analyze_network_routed_chunked(&direct, &mapping, &tm, chunk),
@@ -350,6 +351,133 @@ fn analyze_network_invariant_under_pair_order_and_chunking() {
             }
         },
     );
+}
+
+/// The replay's per-source-node fold is exact under any placement: ranks
+/// sharing a node out of rank order, empty nodes, every rank on one node,
+/// or one rank per node. Every route storage and every chunking of the
+/// source nodes must equal the single-threaded reference, and the node
+/// pairs must come out sorted, each once, summing to the matrix totals.
+#[test]
+fn replay_fold_matches_reference_under_any_placement() {
+    check("replay_fold_matches_reference_under_any_placement", |rng| {
+        use netloc::core::{
+            analyze_network_reference, analyze_network_routed, analyze_network_routed_chunked,
+            node_pair_traffic, PairTraffic,
+        };
+        use netloc::topology::routetable::StoragePlan;
+        use netloc::topology::RoutedTopology;
+        use std::collections::BTreeMap;
+
+        let topo: Box<dyn Topology> = if rng.gen() {
+            random_symmetric_topo(rng).0
+        } else {
+            Box::new(Torus3D::new([3, 3, rng.gen_range(1usize..4)]))
+        };
+        let nodes = topo.num_nodes();
+        let ranks = rng.gen_range(1usize..=32);
+        let assignment: Vec<NodeId> = match rng.gen_range(0u8..4) {
+            // Anywhere, so nodes share ranks and others stay empty.
+            0 => (0..ranks)
+                .map(|_| NodeId(rng.gen_range(0..nodes as u32)))
+                .collect(),
+            // Every rank on one node.
+            1 => vec![NodeId(rng.gen_range(0..nodes as u32)); ranks],
+            // A few nodes, each shared by ranks far apart in rank order.
+            2 => {
+                let few = rng.gen_range(1..=3.min(nodes) as u32);
+                (0..ranks)
+                    .map(|_| NodeId(nodes as u32 - 1 - rng.gen_range(0..few)))
+                    .collect()
+            }
+            // One rank per node, where the machine has room.
+            _ => Mapping::random(ranks.min(nodes), nodes, rng)
+                .assignment()
+                .iter()
+                .copied()
+                .cycle()
+                .take(ranks)
+                .collect(),
+        };
+        let sources = {
+            let mut used = assignment.clone();
+            used.sort_unstable();
+            used.dedup();
+            used.len()
+        };
+        let mapping = Mapping::from_nodes(assignment, nodes);
+        let mut tm = TrafficMatrix::new(ranks as u32);
+        for _ in 0..rng.gen_range(0usize..80) {
+            tm.record(
+                rng.gen_range(0..ranks as u32),
+                rng.gen_range(0..ranks as u32),
+                rng.gen_range(0u64..50_000),
+                rng.gen_range(1u64..4),
+            );
+        }
+
+        let reference = analyze_network_reference(topo.as_ref(), &mapping, &tm);
+        let mut storages = vec![
+            ("direct", RoutedTopology::direct(topo.as_ref())),
+            (
+                "dense",
+                RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense),
+            ),
+            (
+                "lazy",
+                RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Lazy),
+            ),
+        ];
+        if topo.symmetry_hint().is_some() {
+            for (label, plan) in [
+                ("compressed", StoragePlan::Compressed),
+                ("lazy compressed", StoragePlan::LazyCompressed),
+            ] {
+                storages.push((label, RoutedTopology::with_plan(topo.as_ref(), plan)));
+            }
+        }
+        for (label, routed) in &storages {
+            assert_eq!(
+                analyze_network_routed(routed, &mapping, &tm),
+                reference,
+                "{}: {label} replay diverged",
+                topo.name()
+            );
+            for chunk in [1, 7, sources] {
+                assert_eq!(
+                    analyze_network_routed_chunked(routed, &mapping, &tm, chunk),
+                    reference,
+                    "{}: {label} replay diverged at {chunk} source nodes per chunk",
+                    topo.name()
+                );
+            }
+        }
+
+        let pairs = node_pair_traffic(&mapping, &tm);
+        assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "node pairs not sorted or not distinct: {pairs:?}"
+        );
+        let total = |p: &[((u32, u32), PairTraffic)]| {
+            p.iter().fold((0, 0, 0), |(b, m, k), (_, t)| {
+                (b + t.bytes, m + t.messages, k + t.packets)
+            })
+        };
+        let messages: u64 = tm.iter().map(|(_, p)| p.messages).sum();
+        assert_eq!(
+            total(&pairs),
+            (tm.total_bytes(), messages, tm.total_packets())
+        );
+        let mut naive: BTreeMap<(u32, u32), PairTraffic> = BTreeMap::new();
+        for (&(s, d), p) in tm.iter() {
+            let key = (mapping.node_of(s as usize).0, mapping.node_of(d as usize).0);
+            let e = naive.entry(key).or_default();
+            e.bytes += p.bytes;
+            e.messages += p.messages;
+            e.packets += p.packets;
+        }
+        assert_eq!(pairs, naive.into_iter().collect::<Vec<_>>());
+    });
 }
 
 /// The text parser never panics on mutated input — it errors cleanly.

@@ -4,13 +4,14 @@
 
 use netloc::core::canon::{canonical_json, content_digest, digest_hex};
 use netloc::core::{analyze_network_routed, TrafficMatrix};
-use netloc::mpi::{parse_trace, write_trace, CollectiveOp, Payload, Rank, TraceBuilder};
+use netloc::mpi::{parse_trace, write_trace, CollectiveOp, Payload, Rank, Trace, TraceBuilder};
 use netloc::service::http::json_escape;
 use netloc::service::payload::{self, AnalyzeResponse, TraceMeta};
 use netloc::service::{RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
+use netloc::topology::optimize::greedy_mapping;
 use netloc::topology::routetable::StoragePlan;
-use netloc::topology::{MappingSpec, RoutedTopology, TopologySpec};
+use netloc::topology::{Mapping, MappingSpec, RoutedTopology, TopologySpec};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -547,6 +548,131 @@ fn warm_hits_skip_the_trace_for_every_source() {
         assert_eq!(resp.status, 200, "{}", resp.body_str());
         assert_eq!(resp.body, expected, "auto diverged: {body}");
     }
+    server.shutdown();
+}
+
+/// The `/v1/analyze` bytes of `trace` on `topology` under `greedy`, built
+/// from a direct `greedy_mapping` over the matrix's undirected fold.
+fn greedy_analyze_bytes(trace: &Trace, digest: String, topology: &str) -> Vec<u8> {
+    let tm = TrafficMatrix::from_trace_full(trace);
+    let topo_spec: TopologySpec = topology.parse().unwrap();
+    let topo = topo_spec.build().unwrap();
+    let routed = RoutedTopology::auto(topo.as_ref());
+    let mapping = greedy_mapping(&routed, trace.num_ranks as usize, &tm.undirected_entries());
+    let report = analyze_network_routed(&routed, &mapping, &tm);
+    let resp = AnalyzeResponse::from_report(
+        TraceMeta::new(trace, digest),
+        &topo_spec,
+        topo.num_nodes(),
+        &MappingSpec::Greedy,
+        trace.exec_time_s,
+        &report,
+    );
+    canonical_json(&resp).into_bytes()
+}
+
+/// `greedy` is the one mapping that reads traffic, so it is the one branch
+/// of the analysis path that still folds the matrix into undirected
+/// entries. `/v1/analyze`, `/v1/sweep` and a `/v1/jobs` cell must each
+/// serve the bytes of a direct `greedy_mapping` over that fold.
+#[test]
+fn greedy_mapping_matches_the_direct_optimizer_on_every_path() {
+    let server = start(test_config());
+    let addr = server.addr();
+    let trace_text = sample_trace_text();
+    let trace = parse_trace(&trace_text).unwrap();
+    let digest = digest_hex(content_digest(trace_text.as_bytes()));
+
+    let expected = greedy_analyze_bytes(&trace, digest.clone(), "torus:3,3,3");
+    let body = analyze_body(&trace_text, "torus:3,3,3", "greedy");
+    let resp = client::post(addr, "/v1/analyze", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.body, expected, "/v1/analyze greedy diverged");
+
+    // A sweep with a greedy cell beside one that reads no traffic.
+    let tm = TrafficMatrix::from_trace_full(&trace);
+    let topo_spec: TopologySpec = "torus:3,3,3".parse().unwrap();
+    let topo = topo_spec.build().unwrap();
+    let routed = RoutedTopology::auto(topo.as_ref());
+    let ranks = trace.num_ranks as usize;
+    let cell = |mapping: &str, m: &Mapping| {
+        let report = analyze_network_routed(&routed, m, &tm);
+        payload::SweepCellResponse {
+            mapping: mapping.to_string(),
+            packets: report.packets,
+            packet_hops: report.packet_hops,
+            avg_hops: report.avg_hops(),
+            used_links: report.used_links,
+            utilization_pct: report.utilization_pct(trace.exec_time_s),
+            global_message_share: report.global_message_share(),
+        }
+    };
+    let greedy = greedy_mapping(&routed, ranks, &tm.undirected_entries());
+    let expected = canonical_json(&payload::SweepResponse {
+        trace: TraceMeta::new(&trace, digest),
+        topology: topo_spec.to_string(),
+        nodes: topo.num_nodes(),
+        cells: vec![
+            cell(
+                "consecutive",
+                &Mapping::consecutive(ranks, topo.num_nodes()),
+            ),
+            cell("greedy", &greedy),
+        ],
+    });
+    let body = format!(
+        "{{\"trace\": {}, \"topology\": \"torus:3,3,3\", \"mappings\": [\"consecutive\", \"greedy\"]}}",
+        json_escape(&trace_text)
+    );
+    let resp = client::post(addr, "/v1/sweep", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.body_str(), expected, "/v1/sweep greedy diverged");
+
+    // A one-cell job: the finished cell answers the same analysis as a
+    // result hit, so the bytes served are the ones the job cell stored.
+    let (app, ranks, workload) = netloc::workloads::parse_workload_spec("lulesh:27").unwrap();
+    let expected = greedy_analyze_bytes(
+        &netloc::workloads::generate_workload(app, ranks),
+        digest_hex(content_digest(format!("workload:{workload}").as_bytes())),
+        "torus:3,3,3",
+    );
+    let submit = format!(
+        "{{\"topologies\": [\"torus:3,3,3\"], \"mappings\": [\"greedy\"], \"workloads\": [\"{workload}\"]}}"
+    );
+    let resp = client::post(addr, "/v1/jobs", &submit).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let id = resp
+        .body_str()
+        .split("\"id\": \"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .expect("submit reply names the job")
+        .to_string();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let poll = client::get(addr, &format!("/v1/jobs/{id}")).unwrap();
+        if poll.body_str().contains("\"status\": \"complete\"") {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "job must complete");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let hits = || {
+        let s = client::get(addr, "/v1/statusz").unwrap();
+        json_counter(s.body_str(), &["result_cache", "hits"])
+    };
+    let before = hits();
+    let body = format!(
+        "{{\"workload\": \"{workload}\", \"topology\": \"torus:3,3,3\", \"mapping\": \"greedy\"}}"
+    );
+    let resp = client::post(addr, "/v1/analyze", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(
+        hits(),
+        before + 1,
+        "the job cell must answer as a result hit"
+    );
+    assert_eq!(resp.body, expected, "/v1/jobs greedy cell diverged");
     server.shutdown();
 }
 
