@@ -29,8 +29,8 @@
 //! committed full run must show `columnar_vs_text_parse >= 3` on every
 //! row (the ISSUE's ≥3× floor, enforced by [`validate_json`] outside
 //! smoke mode), and the streaming lane's peak buffered bytes are asserted
-//! well under the encoded file size — the bound that makes multi-GB
-//! chunked uploads O(one column chunk) resident.
+//! well under the encoded file size: the stream parser keeps O(one column
+//! chunk) of its input resident.
 //!
 //! Results are written to `BENCH_ingest.json` (`schema_version`-tagged;
 //! see [`validate_json`]). `--smoke` shrinks the traces to ~20k events and
@@ -199,8 +199,8 @@ pub struct IngestRow {
     pub streamed_s: f64,
     /// Events decoded per second through the stream parser.
     pub streamed_events_per_s: f64,
-    /// Peak bytes the stream parser ever buffered — the resident-memory
-    /// bound a chunked upload of this trace would see.
+    /// Peak bytes the stream parser ever buffered — its resident-input
+    /// bound for this trace.
     pub streamed_peak_buffered_bytes: u64,
 }
 

@@ -788,11 +788,6 @@ impl ColStreamParser {
         self.consumed += n;
     }
 
-    /// Bytes currently retained waiting for more input.
-    pub fn buffered_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Peak bytes ever retained across all pushes — the parser's memory
     /// bound (decoded events excluded; those are the output).
     pub fn max_buffered(&self) -> usize {

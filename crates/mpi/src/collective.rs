@@ -9,11 +9,11 @@
 
 use crate::comm::Communicator;
 use crate::rank::Rank;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The collective operations supported by the trace model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CollectiveOp {
     /// Synchronization only; carries no payload bytes.
     Barrier,
@@ -132,7 +132,7 @@ impl fmt::Display for CollectiveOp {
 /// `Uniform(b)` means every participating rank contributes (or receives)
 /// `b` bytes; `PerRank(v)` gives each communicator-local rank its own
 /// volume, as vector collectives (`*v`) do.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Payload {
     /// The same per-rank volume for every member.
     Uniform(u64),

@@ -1,11 +1,11 @@
 //! MPI communicators.
 
 use crate::rank::Rank;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a communicator within a trace. `CommId(0)` is always
 /// `MPI_COMM_WORLD`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct CommId(pub u32);
 
@@ -20,7 +20,7 @@ impl CommId {
 /// Member order matters: position `i` in [`Communicator::members`] is the
 /// *communicator-local* rank `i`, and `root` arguments of collectives are
 /// local ranks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Communicator {
     /// Identifier, unique within a trace.
     pub id: CommId,
@@ -61,7 +61,7 @@ impl Communicator {
 }
 
 /// Registry of all communicators appearing in a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CommRegistry {
     comms: Vec<Communicator>,
 }

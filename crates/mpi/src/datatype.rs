@@ -1,6 +1,6 @@
 //! MPI datatypes and their sizes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A (simplified) MPI datatype.
@@ -10,7 +10,7 @@ use std::fmt;
 /// datatypes and therefore assigns them a size of **one byte**
 /// ("we selected one byte as the according size", §4.3); [`Datatype::Derived`]
 /// follows the same convention so results can be rescaled later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Datatype {
     /// `MPI_BYTE` / `MPI_CHAR` — 1 byte.
     Byte,

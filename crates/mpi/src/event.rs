@@ -4,7 +4,7 @@ use crate::collective::{CollectiveOp, Payload};
 use crate::comm::CommId;
 use crate::datatype::Datatype;
 use crate::rank::Rank;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One communication event of a trace.
 ///
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// times stays compact while packet-level arithmetic (`repeat × ⌈bytes/4 KiB⌉`
 /// packets) remains exact. The event-per-call layout of raw dumpi traces maps
 /// onto this with `repeat = 1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Event {
     /// A point-to-point message (`MPI_Send`/`MPI_Isend` paired with the
     /// matching receive). Only the sender side is recorded; the receive is
@@ -69,7 +69,7 @@ impl Event {
 
 /// An [`Event`] stamped with the wall-clock time (seconds from trace start)
 /// at which its first instance was issued.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimedEvent {
     /// Seconds since trace start.
     pub time: f64,

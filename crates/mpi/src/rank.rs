@@ -1,6 +1,6 @@
 //! MPI rank identifiers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// An MPI rank within a communicator (usually `MPI_COMM_WORLD`).
@@ -8,7 +8,7 @@ use std::fmt;
 /// Ranks are dense integers `0..num_ranks`. The paper's *rank distance*
 /// metric (Eq. 1) is defined directly on the numeric distance between two
 /// rank IDs, which [`Rank::distance`] implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Rank(pub u32);
 

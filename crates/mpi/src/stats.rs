@@ -3,7 +3,7 @@
 use crate::collective::collective_volume;
 use crate::event::Event;
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fundamental MPI characteristics of one trace, matching the columns of
 /// Table 1 of the paper: ranks, execution time, total volume, the
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Collective volume is counted after the paper's collective→p2p translation
 /// (§4.4), i.e. as the bytes the naive point-to-point expansion would inject.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceStats {
     /// Number of world ranks.
     pub ranks: u32,

@@ -7,14 +7,14 @@ use crate::error::{MpiError, Result};
 use crate::event::{Event, TimedEvent};
 use crate::rank::Rank;
 use crate::stats::TraceStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A complete (aggregated) MPI communication trace of one application run.
 ///
 /// The execution time is carried as metadata: a static locality analysis
 /// cannot reconstruct compute time, and the paper itself takes it from the
 /// original trace headers (it enters only the utilization metric, Eq. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Trace {
     /// Application name (e.g. `"LULESH"`).
     pub app: String,

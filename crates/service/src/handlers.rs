@@ -8,7 +8,7 @@
 //! any constructor runs — so a worker thread survives arbitrary input.
 
 use crate::cache::{analysis_key, tiered_get, tiered_insert, workload_digest, ResultCacheStats};
-use crate::http::{json_escape, BodySink, Request, Response};
+use crate::http::{json_escape, Request, Response};
 use crate::jobs::{self, JobsStats, ShardSpec};
 use crate::limit::RateLimiterStats;
 use crate::payload;
@@ -25,14 +25,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Route one framed request to its handler.
-pub fn handle(state: &Arc<AppState>, req: &Request) -> Response {
+pub fn handle(state: &Arc<AppState>, req: Request) -> Response {
     // `/v1/jobs` routes carry an id path segment and a query string, so
     // they dispatch on the prefix instead of the exact-match table.
     if req.path == "/v1/jobs"
         || req.path.starts_with("/v1/jobs/")
         || req.path.starts_with("/v1/jobs?")
     {
-        return jobs_route(state, req);
+        return jobs_route(state, &req);
     }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => healthz(),
@@ -41,7 +41,7 @@ pub fn handle(state: &Arc<AppState>, req: &Request) -> Response {
         ("POST", "/v1/sweep") => sweep(state, &req.body),
         ("POST", "/v1/stats") => stats(state, &req.body),
         ("POST", "/v1/metrics") => metrics(state, &req.body),
-        ("POST", "/v1/traces") => register_trace(state, &req.body),
+        ("POST", "/v1/traces") => register_trace(state, req.body),
         ("POST", "/v1/shutdown") => shutdown(state),
         (_, "/v1/healthz" | "/v1/statusz") => Response::error(405, "use GET"),
         (
@@ -295,146 +295,42 @@ fn statusz(state: &AppState) -> Response {
     Response::json(body.into_bytes())
 }
 
-/// `POST /v1/traces`: register a raw dumpi trace body once, get back its
-/// content digest, and reference it as `"trace_digest"` in later
+/// `POST /v1/traces`: register a trace body once, get back its content
+/// digest, and reference it as `"trace_digest"` in later
 /// `analyze`/`sweep`/`stats`/`metrics` calls instead of re-sending the
-/// multi-MB body. The upload is validated by a full ingest before it is
-/// accepted, cached in memory, and persisted to the store when one is
-/// configured.
-fn register_trace(state: &AppState, body: &[u8]) -> Response {
+/// multi-MB body. The one registration path for both framings: the body
+/// is decoded once with `parse_trace_auto` (the validation; nothing is
+/// folded), then stored as uploaded under its own content digest, in
+/// memory and in the store when one is configured. The request's body
+/// buffer itself moves into the registry; it is not copied.
+fn register_trace(state: &AppState, body: Vec<u8>) -> Response {
     if body.is_empty() {
         return Response::error(400, "empty trace upload");
     }
-    let ingest = match parse_trace_auto(body) {
-        Ok(trace) => ingest_trace(trace),
+    let (ranks, events) = match parse_trace_auto(&body) {
+        Ok(trace) => (trace.num_ranks, trace.events.len()),
         Err(e) => return Response::error(400, &format!("bad trace: {e}")),
     };
     state.traces_ingested.fetch_add(1, Ordering::Relaxed);
     state
         .ingest_events
-        .fetch_add(ingest.trace.events.len() as u64, Ordering::Relaxed);
-    let digest = digest_hex(content_digest(body));
+        .fetch_add(events as u64, Ordering::Relaxed);
+    let digest = digest_hex(content_digest(&body));
+    let reply = format!(
+        "{{\n  \"digest\": {},\n  \"ranks\": {},\n  \"events\": {},\n  \"bytes\": {}\n}}\n",
+        json_escape(&digest),
+        ranks,
+        events,
+        body.len()
+    );
     tiered_insert(
         &state.registry,
         state.store.as_deref(),
         Kind::Trace,
         &digest,
-        &Arc::new(body.to_vec()),
-    );
-    let reply = format!(
-        "{{\n  \"digest\": {},\n  \"ranks\": {},\n  \"events\": {},\n  \"bytes\": {}\n}}\n",
-        json_escape(&digest),
-        ingest.trace.num_ranks,
-        ingest.trace.events.len(),
-        body.len()
+        &Arc::new(body),
     );
     Response::json(reply.into_bytes())
-}
-
-/// Incremental sink for chunked `POST /v1/traces` uploads.
-///
-/// The first 8 body bytes decide the lane: the columnar magic streams
-/// every subsequent chunk through [`netloc_mpi::ColStreamParser`],
-/// retaining only the current partial column chunk; anything else (dumpi
-/// text) is buffered whole, exactly like a `Content-Length` upload.
-/// Either way the worker's in-flight reservation tracks what the sink
-/// actually holds, so a multi-GB canonical columnar upload costs O(one
-/// chunk) of resident memory instead of O(file).
-pub(crate) struct TraceUploadSink {
-    lane: UploadLane,
-}
-
-enum UploadLane {
-    /// Fewer than 8 bytes seen: format still undecided.
-    Probe(Vec<u8>),
-    /// Columnar stream, decoded incrementally.
-    Columnar(netloc_mpi::ColStreamParser),
-    /// Any other format, buffered whole.
-    Buffered(Vec<u8>),
-}
-
-impl TraceUploadSink {
-    pub(crate) fn new() -> Self {
-        TraceUploadSink {
-            lane: UploadLane::Probe(Vec::new()),
-        }
-    }
-}
-
-impl BodySink for TraceUploadSink {
-    fn push(&mut self, bytes: &[u8]) -> Result<(), Response> {
-        match &mut self.lane {
-            UploadLane::Probe(buf) => {
-                buf.extend_from_slice(bytes);
-                if buf.len() >= netloc_mpi::colfmt::MAGIC.len() {
-                    let buf = std::mem::take(buf);
-                    if buf.starts_with(netloc_mpi::colfmt::MAGIC) {
-                        let mut parser = netloc_mpi::ColStreamParser::new();
-                        parser
-                            .push(&buf)
-                            .map_err(|e| Response::error(400, &format!("bad trace: {e}")))?;
-                        self.lane = UploadLane::Columnar(parser);
-                    } else {
-                        self.lane = UploadLane::Buffered(buf);
-                    }
-                }
-                Ok(())
-            }
-            UploadLane::Columnar(parser) => parser
-                .push(bytes)
-                .map_err(|e| Response::error(400, &format!("bad trace: {e}"))),
-            UploadLane::Buffered(buf) => {
-                buf.extend_from_slice(bytes);
-                Ok(())
-            }
-        }
-    }
-
-    fn retained(&self) -> usize {
-        match &self.lane {
-            UploadLane::Probe(buf) | UploadLane::Buffered(buf) => buf.len(),
-            UploadLane::Columnar(parser) => parser.buffered_len(),
-        }
-    }
-}
-
-/// Complete a chunked trace upload once the body stream has been fully
-/// consumed: buffered lanes go through the ordinary [`register_trace`]
-/// path; the columnar stream finishes its decode and registers the
-/// *canonical* re-encoding of the trace, so a streamed upload of
-/// `netloc convert` output registers byte-identical bytes (and therefore
-/// the same digest) as a whole-body upload of the same file.
-pub(crate) fn finish_upload(state: &AppState, sink: TraceUploadSink) -> Response {
-    match sink.lane {
-        UploadLane::Probe(buf) | UploadLane::Buffered(buf) => register_trace(state, &buf),
-        UploadLane::Columnar(parser) => {
-            let trace = match parser.finish() {
-                Ok(t) => t,
-                Err(e) => return Response::error(400, &format!("bad trace: {e}")),
-            };
-            state.traces_ingested.fetch_add(1, Ordering::Relaxed);
-            state
-                .ingest_events
-                .fetch_add(trace.events.len() as u64, Ordering::Relaxed);
-            let bytes = netloc_mpi::write_trace_columnar(&trace);
-            let digest = digest_hex(content_digest(&bytes));
-            let reply = format!(
-                "{{\n  \"digest\": {},\n  \"ranks\": {},\n  \"events\": {},\n  \"bytes\": {}\n}}\n",
-                json_escape(&digest),
-                trace.num_ranks,
-                trace.events.len(),
-                bytes.len()
-            );
-            tiered_insert(
-                &state.registry,
-                state.store.as_deref(),
-                Kind::Trace,
-                &digest,
-                &Arc::new(bytes),
-            );
-            Response::json(reply.into_bytes())
-        }
-    }
 }
 
 /// The structured 404 for a digest reference the registry cannot resolve

@@ -7,12 +7,9 @@
 //! configured limit — so a hostile peer cannot make a worker buffer
 //! unbounded input.
 //!
-//! Framing is split into [`read_request_head`] (request line + headers +
-//! body-framing decision) and [`read_request_body`], which decodes the
-//! body into a caller-supplied [`BodySink`]. The composed [`read_request`]
-//! buffers everything into a `Vec` as before; the server substitutes a
-//! streaming sink for chunked trace uploads so multi-GB bodies are
-//! digested incrementally instead of held whole.
+//! [`read_request`] is the one framing entry: it reads the request line
+//! and headers, then decodes either framing into one body `Vec`, so every
+//! endpoint sees the same [`Request`] however the client framed it.
 //!
 //! Admission hardening lives at this layer too, because this is where a
 //! worker thread first touches untrusted I/O:
@@ -28,9 +25,11 @@
 //!   connection with `408 Request Timeout`;
 //! * [`InflightBytes`] accounts every body byte the worker pool has
 //!   buffered at once. A `Content-Length` that would push the total over
-//!   the cap is answered `429` + `Retry-After` *before* any buffering,
-//!   so concurrent large uploads degrade into visible backpressure
-//!   instead of an OOM kill.
+//!   the cap is answered `429` + `Retry-After` *before* any buffering; a
+//!   chunked body, whose size is unknown up front, grows its reservation
+//!   as it arrives and is shed the same way once it would cross the cap.
+//!   Concurrent large uploads degrade into visible backpressure instead
+//!   of an OOM kill.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -186,10 +185,12 @@ pub struct Request {
     pub method: String,
     /// Request path including any query string, e.g. `/v1/analyze`.
     pub path: String,
-    /// Raw body bytes (empty when no `Content-Length` was sent).
+    /// Raw body bytes, decoded from either framing (empty without a body).
     pub body: Vec<u8>,
     /// The in-flight byte reservation backing `body`, released when the
-    /// request is dropped (i.e. once the response has been written).
+    /// request is dropped: by the end of the handler, before the response
+    /// is written. A registered trace's body moves on into the registry,
+    /// which bounds it by its own byte cap.
     pub inflight: Option<InflightGuard>,
 }
 
@@ -209,9 +210,6 @@ pub enum ReadError {
         /// for framing faults.
         msg: String,
     },
-    /// The body sink refused the stream mid-read (e.g. a streaming trace
-    /// ingest hit a parse error); the prepared response is sent as-is.
-    Rejected(Response),
     /// Body or header section exceeds the configured limit → HTTP 413.
     TooLarge(usize),
     /// The request did not finish arriving within the progress deadline
@@ -230,7 +228,6 @@ impl ReadError {
         match self {
             ReadError::Bad(msg) => Some(Response::error(400, msg)),
             ReadError::Coded { code, msg } => Some(Response::coded_error(400, code, msg)),
-            ReadError::Rejected(resp) => Some(resp.clone()),
             ReadError::TooLarge(limit) => Some(Response::error(
                 413,
                 &format!("request body exceeds the {limit}-byte limit"),
@@ -285,80 +282,18 @@ fn read_some(
     }
 }
 
-/// How a request frames its body on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Framing {
-    /// `Content-Length: n` (0 when the header is absent).
-    Length(usize),
-    /// `Transfer-Encoding: chunked` (RFC 9112 §7.1).
-    Chunked,
-}
-
-/// The parsed request line + headers, plus any body bytes that rode in
-/// with them. Produced by [`read_request_head`]; feed to
-/// [`read_request_body`] to stream the body into a [`BodySink`].
-#[derive(Debug)]
-pub struct RequestHead {
-    /// Request method (`GET`, `POST`, …), uppercased as received.
-    pub method: String,
-    /// Request path including any query string.
-    pub path: String,
-    /// How the body is framed.
-    pub framing: Framing,
-    /// Raw bytes read past the header terminator — the start of the
-    /// (possibly chunk-encoded) body stream.
-    pub(crate) carry: Vec<u8>,
-    /// When the request started arriving; the progress deadline spans
-    /// head + body together, exactly as the unsplit reader did.
-    pub(crate) started: Instant,
-}
-
-/// Where decoded body bytes go as they arrive off the socket.
+/// Read and frame one request under `limits`, buffering the whole body.
 ///
-/// [`read_request_body`] pushes every decoded body byte exactly once, in
-/// order. `retained()` reports how many bytes the sink still holds; for
-/// chunked bodies the reader keeps the shared [`InflightBytes`]
-/// reservation at least that large, so a sink that digests-and-discards
-/// (streaming trace ingest) is accounted for only what it actually
-/// buffers.
-pub trait BodySink {
-    /// Consume the next run of decoded body bytes. An `Err` aborts the
-    /// read; the returned [`Response`] is sent to the client as-is.
-    fn push(&mut self, bytes: &[u8]) -> Result<(), Response>;
-    /// Bytes currently buffered inside the sink.
-    fn retained(&self) -> usize;
-}
-
-/// The trivial sink: buffer the whole body in memory. Backs the
-/// non-streaming [`read_request`].
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// The accumulated body bytes.
-    pub buf: Vec<u8>,
-}
-
-impl BodySink for VecSink {
-    fn push(&mut self, bytes: &[u8]) -> Result<(), Response> {
-        self.buf.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn retained(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-/// Read the request line + headers and decide how the body is framed.
-///
-/// Enforces the header ceiling and the progress deadline, and rejects
-/// `Transfer-Encoding` combined with `Content-Length` with a structured
-/// 400 (`te_cl_conflict`) — RFC 9112 §6.1 treats the pair as a request
-/// smuggling vector, and a server that guesses which one to trust can be
-/// desynchronized from any intermediary that guessed differently.
-pub fn read_request_head(
+/// Enforces the header ceiling and the progress deadline (which spans
+/// head and body together), and rejects `Transfer-Encoding` combined
+/// with `Content-Length` with a structured 400 (`te_cl_conflict`) — RFC
+/// 9112 §6.1 treats the pair as a request smuggling vector, and a server
+/// that guesses which one to trust can be desynchronized from any
+/// intermediary that guessed differently.
+pub fn read_request(
     stream: &mut TcpStream,
     limits: &RequestLimits<'_>,
-) -> Result<RequestHead, ReadError> {
+) -> Result<Request, ReadError> {
     let start = Instant::now();
     let deadline = limits.progress_deadline;
     // Accumulate until the blank line that ends the header section.
@@ -405,92 +340,68 @@ pub fn read_request_head(
             }
         }
     }
-    let framing = match transfer_encoding {
-        Some(te) => {
-            if content_length.is_some() {
-                return Err(ReadError::Coded {
-                    code: "te_cl_conflict",
-                    msg: "Transfer-Encoding and Content-Length on the same request \
-                          is rejected (RFC 9112 §6.1 request-smuggling ambiguity)"
-                        .into(),
-                });
-            }
-            if !te.eq_ignore_ascii_case("chunked") {
-                return Err(ReadError::Bad(format!(
-                    "unsupported Transfer-Encoding '{te}'"
-                )));
-            }
-            Framing::Chunked
+    // Bytes read past the header terminator start the body.
+    let carry = buf[header_end + 4..].to_vec();
+    let (body, inflight) = match transfer_encoding {
+        None => read_body_sized(start, carry, content_length.unwrap_or(0), stream, limits)?,
+        Some(_) if content_length.is_some() => {
+            return Err(ReadError::Coded {
+                code: "te_cl_conflict",
+                msg: "Transfer-Encoding and Content-Length on the same request \
+                      is rejected (RFC 9112 §6.1 request-smuggling ambiguity)"
+                    .into(),
+            })
         }
-        None => Framing::Length(content_length.unwrap_or(0)),
+        Some(te) if te.eq_ignore_ascii_case("chunked") => {
+            read_body_chunked(start, carry, stream, limits)?
+        }
+        Some(te) => {
+            return Err(ReadError::Bad(format!(
+                "unsupported Transfer-Encoding '{te}'"
+            )))
+        }
     };
-    Ok(RequestHead {
+    Ok(Request {
         method,
         path,
-        framing,
-        carry: buf[header_end + 4..].to_vec(),
-        started: start,
+        body,
+        inflight,
     })
 }
 
-/// Stream the request body into `sink` under `limits`.
-///
-/// For `Content-Length` bodies the declared size is reserved against the
-/// in-flight pool up front — refusing before buffering is the point of
-/// the cap. For chunked bodies the size is unknown at admission time, so
-/// the reservation grows alongside `sink.retained()` plus the undecoded
-/// tail as bytes arrive; decoded totals beyond `max_body` still answer
-/// 413. Returns the reservation so it lives until the response is
-/// written.
-pub fn read_request_body(
-    head: &mut RequestHead,
-    stream: &mut TcpStream,
-    limits: &RequestLimits<'_>,
-    sink: &mut dyn BodySink,
-) -> Result<Option<InflightGuard>, ReadError> {
-    let carry = std::mem::take(&mut head.carry);
-    match head.framing {
-        Framing::Length(n) => read_body_sized(head.started, carry, n, stream, limits, sink),
-        Framing::Chunked => read_body_chunked(head.started, carry, stream, limits, sink),
-    }
-}
-
+/// Read a `Content-Length` body. The declared size is reserved against
+/// the in-flight pool *before* buffering a single body byte beyond what
+/// rode in with the headers — the whole point is to refuse work we cannot
+/// afford to hold.
 fn read_body_sized(
     start: Instant,
-    carry: Vec<u8>,
+    mut body: Vec<u8>,
     content_length: usize,
     stream: &mut TcpStream,
     limits: &RequestLimits<'_>,
-    sink: &mut dyn BodySink,
-) -> Result<Option<InflightGuard>, ReadError> {
+) -> Result<(Vec<u8>, Option<InflightGuard>), ReadError> {
     if content_length > limits.max_body {
         return Err(ReadError::TooLarge(limits.max_body));
     }
-    // Reserve the declared body size against the shared in-flight pool
-    // *before* buffering a single body byte beyond what rode in with the
-    // headers — the whole point is to refuse work we cannot afford to hold.
     let inflight = match (limits.inflight, content_length) {
         (Some(pool), n) if n > 0 => Some(pool.try_reserve(n).ok_or(ReadError::Overloaded)?),
         _ => None,
     };
-    if carry.len() > content_length {
+    if body.len() > content_length {
         return Err(ReadError::Bad("body longer than Content-Length".into()));
     }
-    let mut got = carry.len();
-    sink.push(&carry).map_err(ReadError::Rejected)?;
     let mut chunk = [0u8; 1024];
-    while got < content_length {
+    while body.len() < content_length {
         let n = read_some(stream, &mut chunk, start, limits.progress_deadline)?;
         if n == 0 {
             return Err(ReadError::Bad("connection closed mid-body".into()));
         }
-        got += n;
-        if got > content_length {
+        if body.len() + n > content_length {
             return Err(ReadError::Bad("body longer than Content-Length".into()));
         }
-        sink.push(&chunk[..n]).map_err(ReadError::Rejected)?;
+        body.extend_from_slice(&chunk[..n]);
     }
-    Ok(inflight)
+    Ok((body, inflight))
 }
 
 /// Ceiling on one chunk-size line (hex digits + optional extension).
@@ -498,15 +409,13 @@ fn read_body_sized(
 const MAX_CHUNK_LINE: usize = 256;
 
 /// Incremental RFC 9112 §7.1 chunked-transfer decoder. Fed raw socket
-/// bytes, it pushes decoded payload runs into a [`BodySink`] and tracks
-/// the absolute byte offset into the encoded stream so framing errors can
-/// say *where* the client's encoder went wrong.
+/// bytes, it appends decoded payload runs to the body and tracks the
+/// absolute byte offset into the encoded stream so framing errors can say
+/// *where* the client's encoder went wrong.
 struct ChunkedDecoder {
     state: ChunkState,
     /// Absolute offset of the next unconsumed encoded byte.
     offset: u64,
-    /// Total decoded payload bytes so far (capped at `max_body`).
-    total: usize,
 }
 
 enum ChunkState {
@@ -528,7 +437,6 @@ impl ChunkedDecoder {
         ChunkedDecoder {
             state: ChunkState::Size,
             offset: 0,
-            total: 0,
         }
     }
 
@@ -544,14 +452,15 @@ impl ChunkedDecoder {
         self.offset += n as u64;
     }
 
-    /// Decode as much of `pending` as possible, pushing payload into
-    /// `sink`. Returns with bytes left in `pending` only when more input
-    /// is needed to make progress (or the body is `Done`).
+    /// Decode as much of `pending` as possible, appending payload to
+    /// `body` (at most `max_body` bytes in all). Returns with bytes left
+    /// in `pending` only when more input is needed to make progress (or
+    /// the body is `Done`).
     fn feed(
         &mut self,
         pending: &mut Vec<u8>,
         max_body: usize,
-        sink: &mut dyn BodySink,
+        body: &mut Vec<u8>,
     ) -> Result<(), ReadError> {
         loop {
             match self.state {
@@ -578,7 +487,7 @@ impl ChunkedDecoder {
                     if size == 0 {
                         self.state = ChunkState::Trailer;
                     } else {
-                        if size > (max_body as u64).saturating_sub(self.total as u64) {
+                        if size > (max_body as u64).saturating_sub(body.len() as u64) {
                             return Err(ReadError::TooLarge(max_body));
                         }
                         self.state = ChunkState::Data(size as usize);
@@ -589,8 +498,7 @@ impl ChunkedDecoder {
                         return Ok(());
                     }
                     let take = remaining.min(pending.len());
-                    sink.push(&pending[..take]).map_err(ReadError::Rejected)?;
-                    self.total += take;
+                    body.extend_from_slice(&pending[..take]);
                     self.consume(pending, take);
                     self.state = if take == remaining {
                         ChunkState::DataCrlf
@@ -632,43 +540,32 @@ impl ChunkedDecoder {
     }
 }
 
+/// Read a chunked body. Its size is unknown at admission time, so the
+/// in-flight reservation starts empty and grows to cover the decoded body
+/// plus the undecoded tail as bytes arrive; decoded totals beyond
+/// `max_body` still answer 413.
 fn read_body_chunked(
     start: Instant,
-    carry: Vec<u8>,
+    mut pending: Vec<u8>,
     stream: &mut TcpStream,
     limits: &RequestLimits<'_>,
-    sink: &mut dyn BodySink,
-) -> Result<Option<InflightGuard>, ReadError> {
+) -> Result<(Vec<u8>, Option<InflightGuard>), ReadError> {
     let mut dec = ChunkedDecoder::new();
-    let mut pending = carry;
-    let mut inflight: Option<InflightGuard> = None;
-    let mut reserved = 0usize;
+    let mut body = Vec::new();
+    let mut inflight = limits.inflight.and_then(|pool| pool.try_reserve(0));
     let mut chunk = [0u8; 4096];
     loop {
-        dec.feed(&mut pending, limits.max_body, sink)?;
-        // Keep the in-flight reservation covering everything this worker
-        // holds: the sink's retained bytes plus the undecoded tail. The
-        // reservation only grows (a high-water mark) — shrinking on
-        // discard would let N streaming uploads oscillate past the cap.
-        if let Some(pool) = limits.inflight {
-            let need = sink.retained() + pending.len();
-            if need > reserved {
-                let additional = need - reserved;
-                let ok = match inflight.as_mut() {
-                    Some(g) => g.grow(additional),
-                    None => {
-                        inflight = pool.try_reserve(additional);
-                        inflight.is_some()
-                    }
-                };
-                if !ok {
-                    return Err(ReadError::Overloaded);
-                }
-                reserved = need;
+        dec.feed(&mut pending, limits.max_body, &mut body)?;
+        // The reservation is a high-water mark: consuming framing bytes
+        // never hands any back before the request is dropped.
+        if let Some(guard) = inflight.as_mut() {
+            let need = body.len() + pending.len();
+            if need > guard.bytes && !guard.grow(need - guard.bytes) {
+                return Err(ReadError::Overloaded);
             }
         }
         if matches!(dec.state, ChunkState::Done) {
-            return Ok(inflight);
+            return Ok((body, inflight));
         }
         let n = read_some(stream, &mut chunk, start, limits.progress_deadline)?;
         if n == 0 {
@@ -676,22 +573,6 @@ fn read_body_chunked(
         }
         pending.extend_from_slice(&chunk[..n]);
     }
-}
-
-/// Read and frame one request under `limits`, buffering the whole body.
-pub fn read_request(
-    stream: &mut TcpStream,
-    limits: &RequestLimits<'_>,
-) -> Result<Request, ReadError> {
-    let mut head = read_request_head(stream, limits)?;
-    let mut sink = VecSink::default();
-    let inflight = read_request_body(&mut head, stream, limits, &mut sink)?;
-    Ok(Request {
-        method: head.method,
-        path: head.path,
-        body: sink.buf,
-        inflight,
-    })
 }
 
 fn find_crlf(buf: &[u8]) -> Option<usize> {

@@ -6,7 +6,10 @@
 //!
 //! Hand-rolled on `std::net` (the vendor tree is offline; no tokio/hyper):
 //! an acceptor thread feeds a bounded [`queue::JobQueue`] drained by a
-//! worker pool. Two levels of shared state make repeated queries cheap:
+//! worker pool. Every request takes one path: [`http::read_request`]
+//! frames it (`Content-Length` or chunked, into one body buffer) and
+//! [`handlers::handle`] answers it. Two levels of shared state make
+//! repeated queries cheap:
 //!
 //! 1. [`cache::TopoCache`] — one CSR [`netloc_topology::RouteTable`] per
 //!    distinct canonical topology spec, built single-flight and shared
@@ -33,8 +36,8 @@
 //! * [`limit::RateLimiter`] — per-client token buckets in front of the
 //!   queue, answering `429` + `Retry-After` on the acceptor thread.
 //! * [`http::InflightBytes`] + progress deadlines — concurrent large
-//!   uploads are bounded in total bytes, and slow-loris clients are shed
-//!   with `408` instead of pinning workers.
+//!   uploads, with either framing, are bounded in total bytes, and
+//!   slow-loris clients are shed with `408` instead of pinning workers.
 //!
 //! ```no_run
 //! use netloc_service::{Server, ServerConfig};

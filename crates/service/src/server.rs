@@ -17,8 +17,7 @@
 use crate::cache::{ResultCache, TopoCache};
 use crate::handlers;
 use crate::http::{
-    prepare_stream, read_request_body, read_request_head, Framing, InflightBytes, ReadError,
-    Request, RequestLimits, Response, VecSink,
+    prepare_stream, read_request, InflightBytes, ReadError, RequestLimits, Response,
 };
 use crate::jobs;
 use crate::limit::RateLimiter;
@@ -146,9 +145,11 @@ pub struct AppState {
     pub shed_timeouts: AtomicU64,
     /// Handler panics caught and answered with 500 (the worker survives).
     pub handler_panics: AtomicU64,
-    /// Trace sources decoded through the fused ingest pipeline.
+    /// Traces decoded: every `POST /v1/traces` registration and every
+    /// trace source a cache-missing request reads. Registration decodes
+    /// to validate but does not fold; the others fold with `ingest_trace`.
     pub traces_ingested: AtomicU64,
-    /// Total trace events folded by the ingest pipeline.
+    /// Total events of the traces counted in `traces_ingested`.
     pub ingest_events: AtomicU64,
     /// Set by `POST /v1/shutdown`; the process driving the server polls
     /// this (see [`RunningServer::shutdown_requested`]).
@@ -286,53 +287,8 @@ fn worker_loop(state: Arc<AppState>) {
             progress_deadline: state.config.progress_deadline,
             inflight: Some(&state.inflight),
         };
-        // Frame the request. A chunked `POST /v1/traces` takes the
-        // streaming lane: the body flows through an incremental ingest
-        // sink and is answered here, without ever being buffered whole.
-        // Everything else buffers into a plain `Request` as before.
-        enum Framed {
-            Full(Request),
-            Streamed(Response),
-        }
-        let framed = read_request_head(&mut stream, &limits).and_then(|mut head| {
-            if head.framing == Framing::Chunked
-                && head.method == "POST"
-                && head.path == "/v1/traces"
-            {
-                // The sink runs trace-decoding code on untrusted bytes;
-                // like handlers, a panic must not take the worker down.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut sink = handlers::TraceUploadSink::new();
-                    read_request_body(&mut head, &mut stream, &limits, &mut sink)
-                        .map(|_inflight| handlers::finish_upload(&state, sink))
-                }));
-                match outcome {
-                    Ok(result) => result.map(Framed::Streamed),
-                    Err(_) => {
-                        state.handler_panics.fetch_add(1, Ordering::Relaxed);
-                        Ok(Framed::Streamed(Response::error(
-                            500,
-                            "internal error while handling the request",
-                        )))
-                    }
-                }
-            } else {
-                let mut sink = VecSink::default();
-                let inflight = read_request_body(&mut head, &mut stream, &limits, &mut sink)?;
-                Ok(Framed::Full(Request {
-                    method: head.method,
-                    path: head.path,
-                    body: sink.buf,
-                    inflight,
-                }))
-            }
-        });
-        let response = match framed {
-            Ok(Framed::Streamed(resp)) => {
-                state.served.fetch_add(1, Ordering::Relaxed);
-                resp
-            }
-            Ok(Framed::Full(request)) => {
+        let response = match read_request(&mut stream, &limits) {
+            Ok(request) => {
                 // A handler panic must not take the worker down with it:
                 // answer 500 and keep serving. The fault hook injects a
                 // panic on every Nth request so the tests can prove it.
@@ -341,7 +297,7 @@ fn worker_loop(state: Arc<AppState>) {
                     if n > 0 && state.served.load(Ordering::Relaxed) % n == n - 1 {
                         panic!("injected fault: fault_panic_every={n}");
                     }
-                    handlers::handle(&state, &request)
+                    handlers::handle(&state, request)
                 }));
                 state.served.fetch_add(1, Ordering::Relaxed);
                 handled.unwrap_or_else(|_| {

@@ -60,16 +60,6 @@ impl<'a, T: Topology + ?Sized> BfsRouter<'a, T> {
     pub fn topology(&self) -> &T {
         self.topo
     }
-
-    /// All-pairs shortest-path distances, `result[s][d]` in hops. Rows are
-    /// indexed by source node id; `u32::MAX` marks unreachable vertices
-    /// (switches beyond `num_nodes` get rows too, they are plain vertices
-    /// of the link graph).
-    pub fn all_distances(&self) -> Vec<Vec<u32>> {
-        (0..self.adjacency.len())
-            .map(|s| self.distances_from(NodeId(s as u32)))
-            .collect()
-    }
 }
 
 /// Check that `route` is a valid walk from `src` to `dst` over `topo`'s

@@ -1,11 +1,11 @@
 //! Topology configurations at scale — the paper's Table 2.
 
 use crate::{Dragonfly, FatTree, Torus3D};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The topology configuration the paper assigns to one problem size
 /// (one row of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TopologyConfig {
     /// Problem size (number of ranks) the row is for.
     pub size: usize,

@@ -1,11 +1,11 @@
 //! Nodes, links, and link classification.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A compute node (network endpoint). Ranks are mapped onto nodes by a
 /// [`crate::Mapping`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct NodeId(pub u32);
 
@@ -30,7 +30,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Index of a link within a topology's [`crate::Topology::links`] slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct LinkId(pub u32);
 
@@ -45,7 +45,7 @@ impl LinkId {
 /// Role of a link within its topology. Used for per-class accounting, e.g.
 /// the paper's observation that ~95 % of dragonfly messages cross a global
 /// link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum LinkClass {
     /// Node ↔ first-stage switch (fat tree, dragonfly). The torus has no
     /// terminal links: its switch is integrated into the NIC (§2.2.2).
@@ -80,7 +80,7 @@ impl LinkClass {
 /// An undirected, full-duplex link between two vertices of the topology
 /// graph. Vertices are opaque indices private to each topology; the pair is
 /// kept for debugging, oracle routing, and link-level accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Link {
     /// First endpoint (topology-internal vertex index).
     pub a: u32,

@@ -1,10 +1,14 @@
 //! Integration tests for the streaming ingest path: chunked
-//! `Transfer-Encoding` uploads, the incremental columnar sink, the
+//! `Transfer-Encoding` uploads (registered and reserved exactly like
+//! `Content-Length` ones), the columnar stream parser's memory bound, the
 //! structured framing errors, and the time-resolved `windows` blocks in
 //! `/v1/analyze` and `/v1/stats` payloads.
 
 use netloc::core::canon::{content_digest, digest_hex};
-use netloc::mpi::{write_trace, write_trace_columnar, CollectiveOp, Payload, Rank, TraceBuilder};
+use netloc::mpi::{
+    write_trace, write_trace_columnar, write_trace_columnar_chunked, CollectiveOp, Payload, Rank,
+    TraceBuilder,
+};
 use netloc::service::http::json_escape;
 use netloc::service::{RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
@@ -71,8 +75,8 @@ fn chunked_columnar_upload_matches_whole_body_upload() {
     assert_eq!(whole.status, 200, "{}", whole.body_str());
     assert_eq!(json_str_field(whole.body_str(), "digest"), expected_digest);
 
-    // Streamed upload of the same bytes in tiny chunks: the sink decodes
-    // incrementally and must register the identical digest and metadata.
+    // Chunked upload of the same bytes in tiny chunks: it must register
+    // the identical digest and metadata.
     let streamed = client::post_chunked(addr, "/v1/traces", &columnar, 97).unwrap();
     assert_eq!(streamed.status, 200, "{}", streamed.body_str());
     assert_eq!(
@@ -105,6 +109,75 @@ fn chunked_columnar_upload_matches_whole_body_upload() {
     .unwrap();
     assert_eq!(by_digest.status, 200, "{}", by_digest.body_str());
     assert!(by_digest.body_str().contains("\"app\": \"stream-itest\""));
+
+    // A non-canonical encoding of the same trace (two-event frames):
+    // framing never changes a registration, and the digest names the
+    // uploaded bytes, not a re-encoding.
+    let odd = write_trace_columnar_chunked(&trace, 2);
+    assert_ne!(
+        odd, columnar,
+        "two-event frames are not the canonical encoding"
+    );
+    let whole = post_bytes(addr, "/v1/traces", &odd);
+    assert_eq!(whole.status, 200, "{}", whole.body_str());
+    let streamed = client::post_chunked(addr, "/v1/traces", &odd, 97).unwrap();
+    assert_eq!(streamed.status, 200, "{}", streamed.body_str());
+    assert_eq!(
+        streamed.body, whole.body,
+        "framing must not change a registration"
+    );
+    assert_eq!(
+        json_str_field(whole.body_str(), "digest"),
+        digest_hex(content_digest(&odd))
+    );
+    assert!(
+        whole
+            .body_str()
+            .contains(&format!("\"bytes\": {}", odd.len())),
+        "{}",
+        whole.body_str()
+    );
+    server.shutdown();
+}
+
+#[test]
+fn chunked_upload_is_reserved_like_a_content_length_upload() {
+    // The in-flight pool counts a chunked body as it arrives, so an
+    // upload over the cap is shed exactly like the same bytes sent with
+    // `Content-Length`, and neither leaves a reservation behind.
+    let server = start(ServerConfig {
+        max_inflight_bytes: 2 << 20,
+        max_body_bytes: 64 << 20,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let mut b = TraceBuilder::new("overcap", 64).exec_time_s(10.0);
+    for i in 0..300_000u32 {
+        b.send(
+            Rank(i % 64),
+            Rank((i * 7 + 3) % 64),
+            64 + u64::from(i % 4096),
+            1,
+        );
+    }
+    let columnar = write_trace_columnar(&b.build());
+    assert!(columnar.len() > 2 << 20, "{} bytes", columnar.len());
+
+    for resp in [
+        post_bytes(addr, "/v1/traces", &columnar),
+        client::post_chunked(addr, "/v1/traces", &columnar, 64 << 10).unwrap(),
+    ] {
+        assert_eq!(resp.status, 429, "{}", resp.body_str());
+        assert!(
+            resp.body_str().contains("\"code\": \"inflight_bytes\""),
+            "{}",
+            resp.body_str()
+        );
+    }
+    let statusz = client::get(addr, "/v1/statusz").unwrap();
+    let s = statusz.body_str();
+    assert!(s.contains("\"shed_inflight\": 2"), "{s}");
+    assert!(s.contains("\"inflight_bytes\": 0"), "{s}");
     server.shutdown();
 }
 
@@ -177,8 +250,8 @@ fn malformed_chunked_frames_get_structured_400s() {
         resp.body_str()
     );
 
-    // A truncated columnar stream through the incremental sink: the
-    // decode failure surfaces as a trace error, never a panic or hang.
+    // A truncated columnar stream: the decode failure surfaces as a
+    // trace error, never a panic or hang.
     let trace = sample_trace();
     let columnar = write_trace_columnar(&trace);
     let truncated = &columnar[..columnar.len() - 7];
@@ -278,9 +351,9 @@ fn analyze_and_stats_carry_windows_blocks_on_request() {
 
 #[test]
 fn streamed_upload_bounds_resident_memory() {
-    // The incremental sink must retain O(one column chunk), not the whole
-    // upload: stream a trace much larger than the parser's high-water
-    // mark and assert the recorded peak through a direct sink replay.
+    // The columnar stream parser must retain O(one column chunk), not the
+    // whole file: stream a trace much larger than the parser's high-water
+    // mark and assert the recorded peak.
     use netloc::mpi::ColStreamParser;
     let mut b = TraceBuilder::new("bigstream", 64).exec_time_s(10.0);
     for i in 0..200_000u32 {
