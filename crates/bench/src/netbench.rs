@@ -4,11 +4,11 @@
 //! against the pre-route-table baseline this module keeps for the purpose
 //! (`rank_pair_baseline`) on the three paper-scale topologies:
 //!
-//! | config          | topology               | nodes  | route storage |
-//! |-----------------|------------------------|--------|---------------|
-//! | `torus-1728`    | `Torus3D [12,12,12]`   | 1 728  | dense CSR     |
-//! | `fat-tree-2592` | `FatTree::new(48, 3)`  | 13 824 | lazy rows     |
-//! | `dragonfly-1056`| `Dragonfly::new(8,4,4)`| 1 056  | dense CSR     |
+//! | config          | topology               | nodes  | route storage  |
+//! |-----------------|------------------------|--------|----------------|
+//! | `torus-1728`    | `Torus3D [12,12,12]`   | 1 728  | dense CSR      |
+//! | `fat-tree-2592` | `FatTree::new(48, 3)`  | 13 824 | direct routing |
+//! | `dragonfly-1056`| `Dragonfly::new(8,4,4)`| 1 056  | dense CSR      |
 //!
 //! Each config replays an all-to-all matrix (the paper's BigFFT-style
 //! worst case, and the pair-densest cell of any sweep) under one rank per
@@ -31,8 +31,7 @@
 //! chose compressed storage, verifies sampled routes byte-identical to
 //! direct routing, and demands a ≥10× size reduction over the flat
 //! projection. The smoke run keeps one mid-size Slim Fly cell plus a tiny
-//! twin on which compressed, dense and lazy-compressed replays are
-//! compared exhaustively.
+//! twin on which compressed and dense routes are compared exhaustively.
 //!
 //! Results are written to `BENCH_netmodel.json`
 //! (`schema_version`-tagged; see [`validate_json`]). `--smoke` swaps in
@@ -132,9 +131,10 @@ pub struct BenchRow {
     pub node_pairs: usize,
     /// Total packets replayed.
     pub packets: u64,
-    /// Whether the route table is a dense CSR (vs lazy per-source rows).
+    /// Whether the replay reads a precomputed route table (vs routing
+    /// every pair directly, as machines past both table limits do).
     pub dense_table: bool,
-    /// One-time route-table construction cost (dense mode; ~0 for lazy).
+    /// One-time route-table construction cost (~0 when routing directly).
     pub table_build_s: f64,
     /// Pre-PR path: best wall-clock over the timing iterations.
     pub baseline_s: f64,
@@ -318,7 +318,6 @@ pub fn run(smoke: bool) -> BenchReport {
 
             // Warm-up doubles as the differential guard: both paths must
             // produce byte-identical reports before any number is trusted.
-            // For lazy tables this also pays the one-time row fills.
             let base_rep = rank_pair_baseline(topo, &mapping, &tm, chunk);
             let routed_rep = analyze_network_routed(&routed, &mapping, &tm);
             assert_eq!(
@@ -407,9 +406,9 @@ const SCALE_VERIFY_PAIRS: usize = 4096;
 ///    projection of the same routes,
 /// 4. times the replay of a seeded random-pairs workload.
 ///
-/// In smoke mode a tiny Slim Fly twin additionally compares compressed,
-/// dense and lazy-compressed storage on *all* pairs, so CI pins the
-/// equivalence the big cells can only sample.
+/// In smoke mode a tiny Slim Fly twin additionally compares compressed
+/// and dense storage on *all* pairs, so CI pins the equivalence the big
+/// cells can only sample.
 pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
     let iters = if smoke { 1 } else { FULL_ITERS };
     let mut rows = Vec::new();
@@ -496,31 +495,19 @@ pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
 
     if smoke {
         // Tiny twin: the smoke cell above can only sample; this machine is
-        // small enough to compare compressed, dense and lazy-compressed
-        // storage on every ordered pair.
+        // small enough to compare compressed and dense storage on every
+        // ordered pair.
         let twin = netloc_topology::SlimFly::new(5, 2);
         let dense = RoutedTopology::with_plan(&twin, StoragePlan::Dense);
-        let modes = [
-            (
-                "compressed",
-                RoutedTopology::with_plan(&twin, StoragePlan::Compressed),
-            ),
-            (
-                "lazy-compressed",
-                RoutedTopology::with_plan(&twin, StoragePlan::LazyCompressed),
-            ),
-        ];
+        let compressed = RoutedTopology::with_plan(&twin, StoragePlan::Compressed);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for s in 0..twin.num_nodes() as u32 {
             for d in 0..twin.num_nodes() as u32 {
-                let want = dense.route_of(NodeId(s), NodeId(d), &mut a);
-                for (label, routed) in &modes {
-                    assert_eq!(
-                        routed.route_of(NodeId(s), NodeId(d), &mut b),
-                        want,
-                        "twin slimfly:5,2 {label} route diverges at {s}->{d}"
-                    );
-                }
+                assert_eq!(
+                    compressed.route_of(NodeId(s), NodeId(d), &mut b),
+                    dense.route_of(NodeId(s), NodeId(d), &mut a),
+                    "twin slimfly:5,2 compressed route diverges at {s}->{d}"
+                );
             }
         }
         println!("[scale] twin slimfly:5,2        compressed == dense on all pairs");

@@ -59,17 +59,6 @@ pub fn rank_locality_90(tm: &TrafficMatrix) -> Option<f64> {
     rank_distance_90(tm).map(|d| 1.0 / d)
 }
 
-/// Volume-weighted mean rank distance (a complementary, non-quantile view).
-pub fn mean_rank_distance(tm: &TrafficMatrix) -> Option<f64> {
-    let mut vol = 0u128;
-    let mut weighted = 0u128;
-    for (&(s, d), p) in tm.iter() {
-        vol += p.bytes as u128;
-        weighted += p.bytes as u128 * s.abs_diff(d) as u128;
-    }
-    (vol > 0).then(|| weighted as f64 / vol as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +88,6 @@ mod tests {
         let tm = TrafficMatrix::new(8);
         assert_eq!(rank_distance_90(&tm), None);
         assert_eq!(rank_locality_90(&tm), None);
-        assert_eq!(mean_rank_distance(&tm), None);
     }
 
     #[test]
@@ -128,13 +116,6 @@ mod tests {
         let a = tm_from(&[(0, 7, 100)]);
         let b = tm_from(&[(7, 0, 100)]);
         assert_eq!(rank_distance_90(&a), rank_distance_90(&b));
-    }
-
-    #[test]
-    fn mean_distance_weights_by_volume() {
-        let tm = tm_from(&[(0, 1, 300), (0, 11, 100)]);
-        // (300*1 + 100*11) / 400 = 3.5
-        assert_eq!(mean_rank_distance(&tm), Some(3.5));
     }
 
     #[test]

@@ -637,10 +637,13 @@ mod tests {
         for mapping in [Mapping::consecutive(72, 72), Mapping::block(72, 4, 72)] {
             let reference = crate::refmodel::analyze_network_reference(&topo, &mapping, &tm);
             let dense = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
-            let lazy = RoutedTopology::with_plan(&topo, StoragePlan::Lazy);
+            let compressed = RoutedTopology::with_plan(&topo, StoragePlan::Compressed);
             assert_eq!(analyze_network(&topo, &mapping, &tm), reference);
             assert_eq!(analyze_network_routed(&dense, &mapping, &tm), reference);
-            assert_eq!(analyze_network_routed(&lazy, &mapping, &tm), reference);
+            assert_eq!(
+                analyze_network_routed(&compressed, &mapping, &tm),
+                reference
+            );
             for chunk in [1, 7, 1024] {
                 assert_eq!(
                     analyze_network_routed_chunked(&dense, &mapping, &tm, chunk),

@@ -204,15 +204,6 @@ impl TrafficMatrix {
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 
-    /// Total outgoing bytes of one rank.
-    pub fn out_bytes(&self, src: u32) -> u64 {
-        self.pairs
-            .iter()
-            .filter(|((s, _), _)| *s == src)
-            .map(|(_, p)| p.bytes)
-            .sum()
-    }
-
     /// Symmetrized undirected volume per unordered pair (used by the
     /// mapping optimizer).
     pub fn undirected_entries(&self) -> Vec<netloc_topology::optimize::TrafficEntry> {
@@ -297,7 +288,7 @@ mod tests {
         tm.record(4, 0, 999, 1); // different source, excluded
         let profile = tm.out_profile(0);
         assert_eq!(profile, vec![(2, 300), (3, 50), (1, 10)]);
-        assert_eq!(tm.out_bytes(0), 360);
+        assert_eq!(profile.iter().map(|&(_, b)| b).sum::<u64>(), 360);
     }
 
     #[test]

@@ -141,16 +141,6 @@ impl Trace {
             Event::Send { .. } => true,
         })
     }
-
-    /// Total number of aggregated event records.
-    pub fn num_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Total number of communication calls after expanding repeats.
-    pub fn num_calls(&self) -> u64 {
-        self.events.iter().map(|te| te.event.repeat()).sum()
-    }
 }
 
 /// Incremental builder for [`Trace`].
@@ -362,7 +352,8 @@ mod tests {
     #[test]
     fn call_count_expands_repeats() {
         let t = sample();
-        assert_eq!(t.num_events(), 3);
-        assert_eq!(t.num_calls(), 16);
+        assert_eq!(t.events.len(), 3);
+        let stats = t.stats();
+        assert_eq!(stats.p2p_calls + stats.coll_calls, 16);
     }
 }

@@ -9,8 +9,8 @@
 //! semantics: when eight concurrent requests name the same topology,
 //! exactly one thread builds the table (the expensive part of a replay,
 //! per PR 3) and the other seven block on the lock and then share the
-//! finished `Arc`. Machines the plan routes with lazy rows are never
-//! cached, and the caller builds those rows per request. The level is
+//! finished `Arc`. A machine past both table limits gets no table, and
+//! the caller routes it directly per request. The level is
 //! bounded: finished tables are LRU-evicted by `memory_bytes()` until all
 //! but the largest fit a fixed 64 MiB, so one table of any size the plan
 //! caches stays beside the small ones. The table just filled is never
@@ -117,11 +117,9 @@ impl TopoCache {
     /// The shared route storage for `canonical_spec`: the table the
     /// [`StoragePlan`] picks for `topo`, built on first use (single-flight:
     /// concurrent callers block on one build). Returns `None` when the
-    /// plan routes the machine with lazy rows, which are never cached.
+    /// plan builds no table, past both limits.
     pub fn shared_routes(&self, canonical_spec: &str, topo: &dyn Topology) -> Option<SharedRoutes> {
-        let plan @ (StoragePlan::Dense | StoragePlan::Compressed) = StoragePlan::of(topo) else {
-            return None;
-        };
+        let plan = StoragePlan::of(topo)?;
         let cell = {
             let mut slots = self.slots.lock().expect("topo cache lock");
             let used = slots.tick();
@@ -166,9 +164,7 @@ impl TopoCache {
             return routes;
         }
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let routes = plan
-            .build_table(topo)
-            .expect("the cached plans build a table");
+        let routes = plan.build_table(topo);
         if let Some(store) = &self.store {
             store.put(Kind::Table, canonical_spec, &routes.to_bytes());
         }

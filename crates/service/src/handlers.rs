@@ -505,12 +505,11 @@ fn decode_windows(fields: &[(String, Value)]) -> Result<Option<usize>, Response>
 // ---- analysis endpoints ----------------------------------------------
 
 /// Build the topology and its routed view, then run `work` against it.
-/// The topo cache shares the table the storage plan picks; a machine the
-/// plan routes with lazy rows gets them per request from
-/// [`RoutedTopology::auto`], which follows the same plan. All modes
-/// produce identical reports. Shared with the job subsystem, which is how
-/// job cells ride the same single-flight route tables as interactive
-/// requests.
+/// The topo cache shares the table the storage plan picks; a machine past
+/// both table limits is routed directly ([`RoutedTopology::direct`]),
+/// which reads each node pair of a replay once. Both produce identical
+/// reports. Shared with the job subsystem, which is how job cells ride
+/// the same single-flight route tables as interactive requests.
 pub(crate) fn with_routed<T>(
     state: &AppState,
     topo_spec: &TopologySpec,
@@ -520,7 +519,7 @@ pub(crate) fn with_routed<T>(
     let canonical = topo_spec.to_string();
     let routed = match state.topo_cache.shared_routes(&canonical, topo.as_ref()) {
         Some(routes) => routes.routed(topo.as_ref()),
-        None => RoutedTopology::auto(topo.as_ref()),
+        None => RoutedTopology::direct(topo.as_ref()),
     };
     Ok(work(&routed))
 }

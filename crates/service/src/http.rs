@@ -9,7 +9,11 @@
 //!
 //! [`read_request`] is the one framing entry: it reads the request line
 //! and headers, then decodes either framing into one body `Vec`, so every
-//! endpoint sees the same [`Request`] however the client framed it.
+//! endpoint sees the same [`Request`] however the client framed it. An
+//! HTTP/1.1 request that sends `Expect: 100-continue` gets its
+//! `100 Continue` right before the first body read, after the body has
+//! passed the size and in-flight checks, so a refused body costs the
+//! client no upload (RFC 9110 §10.1.1).
 //!
 //! Admission hardening lives at this layer too, because this is where a
 //! worker thread first touches untrusted I/O:
@@ -290,6 +294,13 @@ fn read_some(
 /// 9112 §6.1 treats the pair as a request smuggling vector, and a server
 /// that guesses which one to trust can be desynchronized from any
 /// intermediary that guessed differently.
+///
+/// A pending `Expect: 100-continue` (HTTP/1.1 only; RFC 9110 §10.1.1 has
+/// servers ignore it in HTTP/1.0) is answered once, right before the
+/// first body read: after a `Content-Length` body has passed the
+/// `max_body` and in-flight checks, and before the first chunk of a
+/// chunked body. A body refused by those checks gets its 413 or 429 as
+/// the only response.
 pub fn read_request(
     stream: &mut TcpStream,
     limits: &RequestLimits<'_>,
@@ -322,9 +333,11 @@ pub fn read_request(
         (Some(m), Some(p)) => (m.to_ascii_uppercase(), p.to_string()),
         _ => return Err(ReadError::Bad(format!("bad request line '{request_line}'"))),
     };
+    let http11 = parts.next() == Some("HTTP/1.1");
 
     let mut content_length: Option<usize> = None;
     let mut transfer_encoding: Option<String> = None;
+    let mut expect_continue = false;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
@@ -337,13 +350,22 @@ pub fn read_request(
                 );
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 transfer_encoding = Some(value.trim().to_string());
+            } else if name.eq_ignore_ascii_case("expect") {
+                expect_continue = http11 && value.trim().eq_ignore_ascii_case("100-continue");
             }
         }
     }
     // Bytes read past the header terminator start the body.
     let carry = buf[header_end + 4..].to_vec();
     let (body, inflight) = match transfer_encoding {
-        None => read_body_sized(start, carry, content_length.unwrap_or(0), stream, limits)?,
+        None => read_body_sized(
+            start,
+            carry,
+            content_length.unwrap_or(0),
+            stream,
+            limits,
+            expect_continue,
+        )?,
         Some(_) if content_length.is_some() => {
             return Err(ReadError::Coded {
                 code: "te_cl_conflict",
@@ -353,7 +375,7 @@ pub fn read_request(
             })
         }
         Some(te) if te.eq_ignore_ascii_case("chunked") => {
-            read_body_chunked(start, carry, stream, limits)?
+            read_body_chunked(start, carry, stream, limits, expect_continue)?
         }
         Some(te) => {
             return Err(ReadError::Bad(format!(
@@ -369,6 +391,17 @@ pub fn read_request(
     })
 }
 
+/// Answer a pending `Expect: 100-continue` once, right before the first
+/// body read: the client holds its body back until this arrives.
+fn send_continue(stream: &mut TcpStream, pending: &mut bool) -> Result<(), ReadError> {
+    if std::mem::take(pending) {
+        stream
+            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+            .map_err(ReadError::Io)?;
+    }
+    Ok(())
+}
+
 /// Read a `Content-Length` body. The declared size is reserved against
 /// the in-flight pool *before* buffering a single body byte beyond what
 /// rode in with the headers — the whole point is to refuse work we cannot
@@ -379,6 +412,7 @@ fn read_body_sized(
     content_length: usize,
     stream: &mut TcpStream,
     limits: &RequestLimits<'_>,
+    mut expect_continue: bool,
 ) -> Result<(Vec<u8>, Option<InflightGuard>), ReadError> {
     if content_length > limits.max_body {
         return Err(ReadError::TooLarge(limits.max_body));
@@ -392,6 +426,7 @@ fn read_body_sized(
     }
     let mut chunk = [0u8; 1024];
     while body.len() < content_length {
+        send_continue(stream, &mut expect_continue)?;
         let n = read_some(stream, &mut chunk, start, limits.progress_deadline)?;
         if n == 0 {
             return Err(ReadError::Bad("connection closed mid-body".into()));
@@ -549,6 +584,7 @@ fn read_body_chunked(
     mut pending: Vec<u8>,
     stream: &mut TcpStream,
     limits: &RequestLimits<'_>,
+    mut expect_continue: bool,
 ) -> Result<(Vec<u8>, Option<InflightGuard>), ReadError> {
     let mut dec = ChunkedDecoder::new();
     let mut body = Vec::new();
@@ -567,6 +603,7 @@ fn read_body_chunked(
         if matches!(dec.state, ChunkState::Done) {
             return Ok((body, inflight));
         }
+        send_continue(stream, &mut expect_continue)?;
         let n = read_some(stream, &mut chunk, start, limits.progress_deadline)?;
         if n == 0 {
             return Err(dec.bad("connection closed mid-chunked-body"));

@@ -133,9 +133,9 @@ fn error_cell_bytes(cell: &GridCell, message: &str) -> Vec<u8> {
 /// Compute one cell's canonical payload bytes over an already-routed
 /// topology. This is the *single* cell pipeline: the service workers
 /// call it with a shared cached table, the local `netloc sweep` runner
-/// calls it with `RoutedTopology::auto` — the bytes are identical
-/// either way (routing storage is a performance property), which is the
-/// foundation of the byte-identical merge guarantee.
+/// with `RoutedTopology::direct` — the bytes are identical either way
+/// (routing storage is a performance property), which is the foundation
+/// of the byte-identical merge guarantee.
 pub fn cell_bytes_routed(
     ingest: &IngestResult,
     cell: &GridCell,
@@ -160,7 +160,8 @@ pub fn cell_bytes_routed(
 }
 
 /// The local (no service) cell pipeline: build the topology, route it
-/// with `auto`, delegate to [`cell_bytes_routed`].
+/// directly, delegate to [`cell_bytes_routed`]. A cell replays each node
+/// pair at most once, and no cache would keep a table it built.
 pub fn cell_bytes_local(ingest: &IngestResult, cell: &GridCell) -> Vec<u8> {
     let topo_spec: TopologySpec = match cell.topology.parse() {
         Ok(s) => s,
@@ -168,7 +169,7 @@ pub fn cell_bytes_local(ingest: &IngestResult, cell: &GridCell) -> Vec<u8> {
     };
     match topo_spec.build() {
         Ok(topo) => {
-            let routed = RoutedTopology::auto(topo.as_ref());
+            let routed = RoutedTopology::direct(topo.as_ref());
             cell_bytes_routed(ingest, cell, &topo_spec, &routed)
         }
         Err(e) => error_cell_bytes(cell, &format!("{e}")),

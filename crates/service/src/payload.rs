@@ -167,8 +167,8 @@ fn build_mapping(
 /// `TrafficMatrix::from_trace_full`).
 ///
 /// This is the service's entire analysis path; the caller decides how
-/// `routed` was obtained (shared cached table or per-request lazy rows),
-/// which cannot change the result — only how fast it arrives.
+/// `routed` was obtained (shared cached table or direct routing), which
+/// cannot change the result — only how fast it arrives.
 pub fn analyze(
     trace: &Trace,
     tm: &TrafficMatrix,

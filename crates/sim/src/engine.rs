@@ -506,9 +506,10 @@ impl Shard<'_> {
 /// full-duplex but serve one message at a time per direction — modeled as
 /// one queue per (link, direction).
 ///
-/// This is the convenience entry point: it precomputes routes
-/// ([`RoutedTopology::auto`]) and runs [`simulate_parallel`] with the
-/// default execution strategy. Results are byte-identical to
+/// This is the convenience entry point: it runs [`simulate_parallel`]
+/// with the default execution strategy over direct routes
+/// ([`RoutedTopology::direct`]), since the engine routes each distinct
+/// node pair it replays only once. Results are byte-identical to
 /// [`crate::simulate_reference`].
 pub fn simulate(
     topo: &dyn Topology,
@@ -516,7 +517,7 @@ pub fn simulate(
     injections: &[Injection],
     cfg: &SimConfig,
 ) -> SimReport {
-    let routed = RoutedTopology::auto(topo);
+    let routed = RoutedTopology::direct(topo);
     simulate_parallel(&routed, mapping, injections, cfg, &SimExec::default())
 }
 
@@ -732,16 +733,16 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_dense_storage_agree() {
+    fn direct_and_dense_storage_agree() {
         let topo = Torus3D::new([4, 4, 1]);
         let m = Mapping::consecutive(16, 16);
         let msgs = crowded(800, 16);
         let dense = RoutedTopology::with_plan(&topo, StoragePlan::Dense);
-        let lazy = RoutedTopology::with_plan(&topo, StoragePlan::Lazy);
+        let direct = RoutedTopology::direct(&topo);
         let exec = SimExec::default();
         assert_eq!(
             simulate_parallel(&dense, &m, &msgs, &cfg(), &exec),
-            simulate_parallel(&lazy, &m, &msgs, &cfg(), &exec)
+            simulate_parallel(&direct, &m, &msgs, &cfg(), &exec)
         );
     }
 }

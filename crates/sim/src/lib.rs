@@ -21,9 +21,10 @@
 //!
 //! * [`simulate_reference`] — the single-threaded reference (`refsim`),
 //!   routes computed per message;
-//! * [`simulate_parallel`] — sharded time windows over precomputed CSR
-//!   route tables, drained by a worker pool under an exact per-link
-//!   dependency DAG.
+//! * [`simulate_parallel`] — sharded time windows over the routes of a
+//!   [`RoutedTopology`](netloc_topology::RoutedTopology) (each distinct
+//!   node pair routed once), drained by a worker pool under an exact
+//!   per-link dependency DAG.
 //!
 //! The parallel engine is **byte-identical** to the reference at every
 //! worker count and window size; `netloc verify` enforces that over the

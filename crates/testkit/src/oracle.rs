@@ -123,33 +123,28 @@ pub fn check_routes(topo: &dyn Topology, allow_one_hop_detour: bool) -> (Vec<Str
     (violations, pairs)
 }
 
-/// The storage modes of `topo` besides the dense table, labelled: lazy flat
-/// rows and, on router-symmetric machines, the compressed table and lazy
-/// compressed rows.
-fn lazy_and_compressed_modes(topo: &dyn Topology) -> Vec<(&'static str, RoutedTopology<'_>)> {
-    let mut plans = vec![("lazy route rows", StoragePlan::Lazy)];
-    if topo.symmetry_hint().is_some() {
-        plans.push(("compressed table", StoragePlan::Compressed));
-        plans.push(("lazy compressed rows", StoragePlan::LazyCompressed));
-    }
-    plans
-        .into_iter()
-        .map(|(label, plan)| (label, RoutedTopology::with_plan(topo, plan)))
-        .collect()
+/// The compressed table of `topo`, labelled, when the machine is router
+/// symmetric: the one store besides the dense table.
+fn compressed_mode(topo: &dyn Topology) -> Option<(&'static str, RoutedTopology<'_>)> {
+    topo.symmetry_hint().map(|_| {
+        (
+            "compressed table",
+            RoutedTopology::with_plan(topo, StoragePlan::Compressed),
+        )
+    })
 }
 
 /// Compare the precomputed CSR storage against direct routing for every
-/// node pair: the dense [`RouteTable`] and the lazy per-source rows must
-/// both return routes *byte-identical* to [`Topology::route_into`], with
-/// matching CSR hop counts. Router-symmetric topologies additionally check
-/// the compressed per-router table and the lazy compressed core rows on
-/// every pair.
+/// node pair: the dense [`RouteTable`] must return routes
+/// *byte-identical* to [`Topology::route_into`], with matching CSR hop
+/// counts. Router-symmetric topologies additionally check the compressed
+/// per-router table on every pair.
 ///
 /// Returns violations; the second tuple element is the number of pairs
 /// checked (each pair checks every applicable storage mode).
 pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
     let table = RouteTable::build(topo);
-    let modes = lazy_and_compressed_modes(topo);
+    let compressed = compressed_mode(topo);
     let n = topo.num_nodes();
     let mut violations = Vec::new();
     let mut pairs = 0u64;
@@ -182,7 +177,7 @@ pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
                     direct.len()
                 ));
             }
-            for (label, routed) in &modes {
+            if let Some((label, routed)) = &compressed {
                 let route = routed.route_of(src, dst, &mut scratch);
                 if route != direct {
                     violations.push(format!(
@@ -272,9 +267,8 @@ pub fn check_routes_sampled(
     (violations, pairs)
 }
 
-/// Sampled-pair variant of [`check_route_table`]: every storage mode the
-/// machine supports (auto-picked, lazy flat rows, and — when
-/// router-symmetric — the compressed table and lazy compressed rows) must
+/// Sampled-pair variant of [`check_route_table`]: the auto-picked storage
+/// and, when the machine is router symmetric, the compressed table must
 /// return routes byte-identical to [`Topology::route_into`] on a seeded
 /// pair sample, with matching hop counts.
 pub fn check_route_table_sampled(
@@ -289,7 +283,7 @@ pub fn check_route_table_sampled(
         return (violations, pairs);
     }
     let mut modes = vec![("auto storage", RoutedTopology::auto(topo))];
-    modes.extend(lazy_and_compressed_modes(topo));
+    modes.extend(compressed_mode(topo));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut direct = Vec::new();
     let mut scratch = Vec::new();
@@ -393,7 +387,7 @@ pub fn check_replay(cfg: &CorpusConfig) -> (Vec<String>, u64) {
     // router-symmetric topologies).
     let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
     let mut storage_modes = vec![("dense route table", dense)];
-    storage_modes.extend(lazy_and_compressed_modes(topo.as_ref()));
+    storage_modes.extend(compressed_mode(topo.as_ref()));
     for (label, routed) in &storage_modes {
         let routed_report = analyze_network_routed(routed, &mapping, &tm);
         checks += 1;
@@ -699,8 +693,8 @@ pub fn sim_report_diff(expected: &SimReport, actual: &SimReport) -> Vec<String> 
 /// sharded parallel engine must be **byte-identical** to the sequential
 /// `refsim` reference for both forwarding models, across a worker-count ×
 /// window-size sweep (including degenerate one-injection windows and the
-/// auto settings), over lazy as well as dense CSR route storage, and for
-/// a reversed injection order.
+/// auto settings), over direct routes as well as a dense CSR route table,
+/// and for a reversed injection order.
 ///
 /// Returns violations; the second tuple element is the number of
 /// simulation comparisons performed.
@@ -715,7 +709,7 @@ pub fn check_sim(cfg: &CorpusConfig) -> (Vec<String>, u64) {
     let mut violations = Vec::new();
     let mut checks = 0u64;
     let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
-    let lazy = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Lazy);
+    let direct = RoutedTopology::direct(topo.as_ref());
 
     for forwarding in [Forwarding::StoreAndForward, Forwarding::CutThrough] {
         let sim_cfg = SimConfig {
@@ -742,10 +736,15 @@ pub fn check_sim(cfg: &CorpusConfig) -> (Vec<String>, u64) {
         }
 
         checks += 1;
-        let via_lazy =
-            simulate_parallel(&lazy, &mapping, &injections, &sim_cfg, &SimExec::default());
-        for d in sim_report_diff(&reference, &via_lazy) {
-            violations.push(format!("{forwarding:?} lazy route storage: {d}"));
+        let via_direct = simulate_parallel(
+            &direct,
+            &mapping,
+            &injections,
+            &sim_cfg,
+            &SimExec::default(),
+        );
+        for d in sim_report_diff(&reference, &via_direct) {
+            violations.push(format!("{forwarding:?} direct routes: {d}"));
         }
 
         checks += 1;

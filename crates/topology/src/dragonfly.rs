@@ -95,11 +95,6 @@ impl Dragonfly {
         }
     }
 
-    /// Routers per group.
-    pub fn routers_per_group(&self) -> usize {
-        self.a
-    }
-
     /// Nodes per router.
     pub fn nodes_per_router(&self) -> usize {
         self.p
@@ -344,7 +339,7 @@ mod tests {
                 *per_router.entry(l.b).or_insert(0) += 1;
             }
         }
-        assert_eq!(per_router.len(), df.num_groups() * df.routers_per_group());
+        assert_eq!(per_router.len(), df.num_groups() * df.a);
         assert!(per_router.values().all(|&c| c == 2));
     }
 

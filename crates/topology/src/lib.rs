@@ -78,7 +78,7 @@ pub use link::{Link, LinkClass, LinkId, NodeId};
 pub use mapping::Mapping;
 pub use mesh::Mesh3D;
 pub use routergraph::RouterGraph;
-pub use routetable::{CompressedRouteTable, RouteTable, RoutedTopology, SourceRow};
+pub use routetable::{CompressedRouteTable, RouteTable, RoutedTopology};
 pub use slimfly::SlimFly;
 pub use spec::{MappingSpec, SpecError, TopologySpec};
 pub use tapered::TaperedFatTree;

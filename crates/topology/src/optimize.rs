@@ -9,10 +9,11 @@
 //! *packet hops* objective up to packetization.
 
 //! Both optimizers query hop distances in their innermost loops, so they
-//! take a [`RoutedTopology`] rather than a bare topology: with dense or
-//! lazy route storage every `hops` query is a CSR offset difference
-//! instead of a route derivation. Wrap a topology with
-//! [`RoutedTopology::auto`] (or `direct` to opt out of precomputation).
+//! take a [`RoutedTopology`] rather than a bare topology: over a route
+//! table every `hops` query is a CSR offset difference, and over
+//! [`RoutedTopology::direct`] it is [`Topology::hops`](crate::Topology::hops),
+//! closed-form on most topologies. A one-off greedy mapping routes
+//! directly; a table pays off when it is already built and shared.
 
 use crate::link::NodeId;
 use crate::mapping::Mapping;
@@ -219,7 +220,6 @@ pub fn anneal_mapping<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routetable::StoragePlan;
     use crate::Torus3D;
     use rand::SeedableRng;
 
@@ -241,17 +241,9 @@ mod tests {
         let traffic = ring_traffic(64);
         let c = mapping_cost(&RoutedTopology::auto(&t), &m, &traffic);
         assert!(c > 0);
-        // Cost is a pure function of the mapping — identical across all
-        // route storage modes.
+        // Cost is a pure function of the mapping — identical over the
+        // table and direct routing.
         assert_eq!(c, mapping_cost(&RoutedTopology::direct(&t), &m, &traffic));
-        assert_eq!(
-            c,
-            mapping_cost(
-                &RoutedTopology::with_plan(&t, StoragePlan::Lazy),
-                &m,
-                &traffic
-            )
-        );
     }
 
     #[test]

@@ -20,20 +20,17 @@
 //! links:   [... entry(i) = links[o(i) .. o(i + 1)] ...]
 //! ```
 //!
-//! The stores differ only in what an entry holds:
+//! The two stores differ only in what an entry holds:
 //!
 //! | store                    | entries            | entry                              |
 //! |--------------------------|--------------------|------------------------------------|
 //! | [`RouteTable`]           | `n²` node pairs    | `route(s, d)` at `s·n + d`         |
 //! | [`CompressedRouteTable`] | `R²` router pairs  | `core(rs, rd)` at `rs·R + rd`      |
-//! | [`SourceRow`]            | `n` destinations   | `route(src, d)` at `d`             |
-//! | lazy core row            | `R` routers        | `core(rs, rd)` at `rd`             |
 //!
-//! One source-parallel builder makes both tables and one row builder makes
-//! both kinds of row; one writer and one validating reader are the codec
-//! of both tables. The parallel build uses rayon (`par_chunks`) over
-//! sources and concatenates the chunks in source order, so the table
-//! bytes are deterministic.
+//! One source-parallel builder makes both tables; one writer and one
+//! validating reader are the codec of both. The parallel build uses rayon
+//! (`par_chunks`) over sources and concatenates the chunks in source
+//! order, so the table bytes are deterministic.
 //!
 //! ## Memory bound
 //!
@@ -55,28 +52,31 @@
 //! on the fly, cutting memory by ~`p²` (nodes-per-router squared) while
 //! replaying byte-identical routes. That is what makes 100k–1M endpoint
 //! machines practical; see its type-level docs for the exact bound.
-//! Machines too large for either table build one row per *touched*
-//! source on demand, which is exactly what a replay with far fewer
-//! communicating nodes than machine nodes needs.
+//! Machines past both limits get no table at all: their lookups route
+//! directly, which is also what every one-shot replay wants, because it
+//! reads each node pair at most once.
 //!
 //! ## One storage plan
 //!
-//! [`StoragePlan::of`] is the only place that chooses among these stores,
-//! and [`StoragePlan::build_table`] is the only place that builds a
-//! planned table, as a [`SharedRoutes`] that any number of handles replay
-//! over. A [`RoutedTopology`] is made in one of four ways:
+//! [`StoragePlan::of`] is the only place that chooses between these
+//! stores, and [`StoragePlan::build_table`] is the only place that builds
+//! a planned table, as a [`SharedRoutes`] that any number of handles
+//! replay over. A table pays off only when something reuses it, such as
+//! the analysis service's route cache, so one-shot paths route directly.
+//! A [`RoutedTopology`] is made in one of four ways:
 //!
-//! * [`RoutedTopology::auto`] follows the plan of its topology;
-//! * [`RoutedTopology::with_plan`] follows a plan the caller names, which
-//!   is how the oracles and benches compare the storage modes;
 //! * [`SharedRoutes::routed`] wraps a table built earlier, such as the one
-//!   the analysis service's route cache shares across requests;
-//! * [`RoutedTopology::direct`] stores nothing and routes every lookup.
+//!   the route cache shares across requests;
+//! * [`RoutedTopology::direct`] stores nothing and routes every lookup;
+//! * [`RoutedTopology::with_plan`] builds the table a plan names, which
+//!   is how the oracles and benches compare the two stores;
+//! * [`RoutedTopology::auto`] builds the table [`StoragePlan::of`] plans,
+//!   or routes directly when it plans none.
 
 use crate::link::{LinkId, NodeId};
 use crate::{SymmetryHint, Topology};
 use rayon::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Ordered **node**-pair count up to which [`StoragePlan::of`] picks a
 /// dense table (4M pairs ≈ a 2 000-node machine ≈ 150–200 MiB with typical
@@ -87,13 +87,11 @@ pub const DENSE_PAIR_LIMIT: usize = 4_000_000;
 /// precomputes a [`CompressedRouteTable`] for router-symmetric topologies.
 /// 64M router pairs ≈ 8 000 routers ≈ 256 MiB of offsets plus the core
 /// links — the same memory envelope the dense limit allows, shifted from
-/// node pairs to router pairs. Above it, per-source-router core rows are
-/// built lazily on first touch.
+/// node pairs to router pairs.
 pub const COMPRESSED_PAIR_LIMIT: usize = 64_000_000;
 
-/// The route storage a topology gets: the one storage decision, shared by
+/// The route table a topology gets: the one storage decision, shared by
 /// [`RoutedTopology::auto`] and the analysis service's route cache.
-/// [`RoutedTopology::with_plan`] builds each variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoragePlan {
     /// A dense [`RouteTable`]: `n² ≤ `[`DENSE_PAIR_LIMIT`] — O(1) lookups,
@@ -103,44 +101,32 @@ pub enum StoragePlan {
     /// and `R² ≤ `[`COMPRESSED_PAIR_LIMIT`] — full precompute, ~`p²`
     /// smaller than flat.
     Compressed,
-    /// Router symmetric past both limits — core rows per touched source
-    /// router, built on first touch.
-    LazyCompressed,
-    /// Past the dense limit with no usable symmetry hint — flat
-    /// [`SourceRow`]s per touched source, built on first touch.
-    Lazy,
 }
 
 impl StoragePlan {
-    /// Plan the route storage of `topo` from its size and symmetry hint.
-    pub fn of(topo: &dyn Topology) -> Self {
+    /// Plan the route table of `topo` from its size and symmetry hint, or
+    /// `None` past both limits, where lookups route directly.
+    pub fn of(topo: &dyn Topology) -> Option<Self> {
         let n = topo.num_nodes();
         if n.saturating_mul(n) <= DENSE_PAIR_LIMIT {
-            return StoragePlan::Dense;
+            return Some(StoragePlan::Dense);
         }
-        match router_symmetry(topo) {
-            Some(p) if (n / p).saturating_mul(n / p) <= COMPRESSED_PAIR_LIMIT => {
-                StoragePlan::Compressed
-            }
-            Some(_) => StoragePlan::LazyCompressed,
-            None => StoragePlan::Lazy,
-        }
+        let p = router_symmetry(topo)?;
+        ((n / p).saturating_mul(n / p) <= COMPRESSED_PAIR_LIMIT).then_some(StoragePlan::Compressed)
     }
 
     /// The one plan-to-table builder: the table this plan precomputes for
-    /// `topo`, or `None` for the lazy plans, whose rows each handle builds
-    /// on first touch.
+    /// `topo`.
     ///
     /// # Panics
     /// Panics as [`RouteTable::build`] or [`CompressedRouteTable::build`]
     /// does.
-    pub fn build_table(self, topo: &dyn Topology) -> Option<SharedRoutes> {
+    pub fn build_table(self, topo: &dyn Topology) -> SharedRoutes {
         match self {
-            StoragePlan::Dense => Some(SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))),
-            StoragePlan::Compressed => Some(SharedRoutes::Compressed(Arc::new(
-                CompressedRouteTable::build(topo),
-            ))),
-            StoragePlan::LazyCompressed | StoragePlan::Lazy => None,
+            StoragePlan::Dense => SharedRoutes::Flat(Arc::new(RouteTable::build(topo))),
+            StoragePlan::Compressed => {
+                SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
+            }
         }
     }
 }
@@ -156,12 +142,9 @@ fn router_symmetry<T: Topology + ?Sized>(topo: &T) -> Option<usize> {
     }
 }
 
-/// Why compressed storage panics on a topology without the hint.
-const NEEDS_SYMMETRY: &str = "compressed route storage requires a router-symmetric topology";
-
-/// The CSR core of every route store: `width` entries per source, entry
-/// `(s, d)` being the link sequence `links[offsets[i] .. offsets[i + 1]]`
-/// at `i = s·width + d`. A table has `width` sources; a row has one.
+/// The CSR core of both route tables: `width` sources of `width` entries
+/// each, entry `(s, d)` being the link sequence
+/// `links[offsets[i] .. offsets[i + 1]]` at `i = s·width + d`.
 #[derive(Debug, Clone)]
 struct Csr {
     width: usize,
@@ -191,13 +174,6 @@ impl Csr {
             let end = u32::try_from(self.links.len()).expect("CSR links fit u32 offsets");
             self.offsets.push(end);
         }
-    }
-
-    /// The row builder: one source's row, built on this thread.
-    fn row(width: usize, fill: impl FnMut(usize, &mut Vec<LinkId>)) -> Self {
-        let mut csr = Csr::with_rows(width, 1);
-        csr.push_row(fill);
-        csr
     }
 
     /// The table builder: `width` sources, entry `(s, d)` holding what
@@ -322,44 +298,6 @@ fn u32_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
         .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word")))
 }
 
-/// CSR routes from one source node to every destination of a topology.
-///
-/// The lazy building block of the replay engine: `route(src, d)` is the
-/// row's entry `d`.
-#[derive(Debug, Clone)]
-pub struct SourceRow(Csr);
-
-impl SourceRow {
-    /// Materialize all routes out of `src`.
-    ///
-    /// # Panics
-    /// Panics if the row holds more than `u32::MAX` link ids (impossible
-    /// for any topology whose diameter × node count fits in 32 bits).
-    pub fn build<T: Topology + ?Sized>(topo: &T, src: NodeId) -> Self {
-        SourceRow(Csr::row(topo.num_nodes(), |d, links| {
-            topo.route_into(src, NodeId(d as u32), links)
-        }))
-    }
-
-    /// The precomputed route to `dst` as a link slice.
-    #[inline]
-    pub fn route_of(&self, dst: NodeId) -> &[LinkId] {
-        self.0.entry(0, dst.idx())
-    }
-
-    /// Hop count to `dst` (CSR row-length difference; no route walk).
-    #[inline]
-    pub fn hops(&self, dst: NodeId) -> u32 {
-        self.0.entry_len(0, dst.idx())
-    }
-
-    /// Number of destinations (= nodes of the topology).
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.0.width
-    }
-}
-
 /// Dense all-pairs CSR route table of one topology.
 ///
 /// See the module docs for the layout and the memory bound. Routes are
@@ -376,8 +314,8 @@ impl RouteTable {
     /// Precompute every route of `topo`, in parallel over source nodes.
     ///
     /// # Panics
-    /// Panics if the table would hold more than `u32::MAX` link ids; use
-    /// the lazy mode of [`RoutedTopology`] for machines that large.
+    /// Panics if the table would hold more than `u32::MAX` link ids; route
+    /// machines that large with [`RoutedTopology::direct`].
     pub fn build<T: Topology + ?Sized>(topo: &T) -> Self {
         let csr = Csr::table(topo.num_nodes(), |s, d, links| {
             topo.route_into(NodeId(s as u32), NodeId(d as u32), links)
@@ -401,12 +339,6 @@ impl RouteTable {
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
         self.csr.entry_len(src.idx(), dst.idx())
-    }
-
-    /// Total link ids stored (Σ hops over all ordered pairs).
-    #[inline]
-    pub fn total_route_links(&self) -> usize {
-        self.csr.links.len()
     }
 
     /// Exact heap footprint of the CSR arrays in bytes.
@@ -480,48 +412,6 @@ fn core_into<T: Topology + ?Sized>(
     out.remove(start);
 }
 
-/// The terminal expansion of every compressed store: with `p` nodes per
-/// router, a route is `[terminal(src)] ++ core(src/p, dst/p) ++
-/// [terminal(dst)]` with terminal link ids equal to node ids. Nodes on one
-/// router share an empty core, and a node routes to itself over nothing.
-/// Clears `scratch`, expands the route into it and returns it.
-#[inline]
-fn terminal_route<'s, 'c>(
-    p: usize,
-    src: NodeId,
-    dst: NodeId,
-    scratch: &'s mut Vec<LinkId>,
-    core: impl FnOnce(usize, usize) -> &'c [LinkId],
-) -> &'s [LinkId] {
-    scratch.clear();
-    if src != dst {
-        scratch.push(LinkId(src.0));
-        let (rs, rd) = (src.idx() / p, dst.idx() / p);
-        if rs != rd {
-            scratch.extend_from_slice(core(rs, rd));
-        }
-        scratch.push(LinkId(dst.0));
-    }
-    scratch
-}
-
-/// Hop count of the route [`terminal_route`] expands, without expanding
-/// it: two terminal hops plus the core's length.
-#[inline]
-fn terminal_hops<'c>(
-    p: usize,
-    src: NodeId,
-    dst: NodeId,
-    core: impl FnOnce(usize, usize) -> &'c [LinkId],
-) -> u32 {
-    let (rs, rd) = (src.idx() / p, dst.idx() / p);
-    match (src == dst, rs == rd) {
-        (true, _) => 0,
-        (false, true) => 2,
-        (false, false) => 2 + core(rs, rd).len() as u32,
-    }
-}
-
 /// Compressed hierarchical route table for router-symmetric topologies.
 ///
 /// When a topology advertises [`SymmetryHint::RouterSymmetric`], every
@@ -554,7 +444,8 @@ impl CompressedRouteTable {
     /// [`SymmetryHint::RouterSymmetric`] hint, if a route violates the
     /// hint's factorization, or if the core CSR overflows `u32` ids.
     pub fn build<T: Topology + ?Sized>(topo: &T) -> Self {
-        let p = router_symmetry(topo).expect(NEEDS_SYMMETRY);
+        let p = router_symmetry(topo)
+            .expect("compressed route storage requires a router-symmetric topology");
         let csr = Csr::table(topo.num_nodes() / p, |rs, rd, links| {
             core_into(topo, p, rs, rd, links)
         });
@@ -590,7 +481,9 @@ impl CompressedRouteTable {
     }
 
     /// Expand the route of a node pair into `scratch` (cleared first) and
-    /// return it as a slice: terminal, stored core, terminal.
+    /// return it as a slice: terminal, stored core, terminal, with
+    /// terminal link ids equal to node ids. Nodes on one router share the
+    /// empty core, and a node routes to itself over nothing.
     #[inline]
     pub fn route_of<'s>(
         &self,
@@ -598,18 +491,25 @@ impl CompressedRouteTable {
         dst: NodeId,
         scratch: &'s mut Vec<LinkId>,
     ) -> &'s [LinkId] {
-        terminal_route(self.nodes_per_router, src, dst, scratch, |rs, rd| {
-            self.core_of(rs, rd)
-        })
+        scratch.clear();
+        if src != dst {
+            let p = self.nodes_per_router;
+            scratch.push(LinkId(src.0));
+            scratch.extend_from_slice(self.core_of(src.idx() / p, dst.idx() / p));
+            scratch.push(LinkId(dst.0));
+        }
+        scratch
     }
 
     /// Hop count of a node pair (two terminals plus the core's CSR offset
     /// difference; no route expansion).
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
-        terminal_hops(self.nodes_per_router, src, dst, |rs, rd| {
-            self.core_of(rs, rd)
-        })
+        if src == dst {
+            return 0;
+        }
+        let p = self.nodes_per_router;
+        2 + self.csr.entry_len(src.idx() / p, dst.idx() / p)
     }
 
     /// Total core link ids stored (Σ core length over ordered router pairs).
@@ -740,98 +640,62 @@ impl SharedRoutes {
             topo.num_nodes(),
             "route table built for a different machine size"
         );
-        let storage = match self {
-            SharedRoutes::Flat(t) => Storage::Dense(Arc::clone(t)),
-            SharedRoutes::Compressed(t) => Storage::Compressed(Arc::clone(t)),
-        };
-        RoutedTopology { topo, storage }
+        RoutedTopology {
+            topo,
+            routes: Some(self.clone()),
+        }
     }
 }
 
-/// Route storage of a [`RoutedTopology`].
-enum Storage {
-    /// Full dense CSR table.
-    Dense(Arc<RouteTable>),
-    /// Compressed router-pair core table.
-    Compressed(Arc<CompressedRouteTable>),
-    /// Per-source CSR rows, built on first touch (thread-safe).
-    Lazy(Vec<OnceLock<SourceRow>>),
-    /// Nodes per router and one core row per source router, each built
-    /// on first touch — the compressed analogue of `Lazy` for
-    /// router-symmetric machines past [`COMPRESSED_PAIR_LIMIT`].
-    LazyCompressed(usize, Vec<OnceLock<Csr>>),
-    /// No caching: every lookup routes into the caller's scratch buffer.
-    Direct,
-}
-
-/// A topology bundled with precomputed (or on-demand) routes — the handle
-/// the replay engine and the mapping optimizers consume.
+/// A topology bundled with the routes its lookups read — the handle the
+/// replay engine and the mapping optimizers consume.
 ///
-/// All storage modes answer [`route_of`](RoutedTopology::route_of) and
-/// [`hops`](RoutedTopology::hops) with identical values; they only trade
-/// memory for lookup cost:
+/// Every handle answers [`route_of`](RoutedTopology::route_of) and
+/// [`hops`](RoutedTopology::hops) with identical values; the storage only
+/// trades memory for lookup cost:
 ///
-/// * [`StoragePlan::Dense`] — one [`RouteTable`], O(1) slice lookups,
+/// * a [`RouteTable`] ([`StoragePlan::Dense`]) — O(1) slice lookups,
 ///   `O(n²·hops̄)` memory. Best for sweeps at paper scale.
-/// * [`StoragePlan::Compressed`] — one [`CompressedRouteTable`] over
-///   router pairs, terminal hops expanded into the caller's scratch. Best
-///   for router-symmetric machines past the dense limit (100k–1M
+/// * a [`CompressedRouteTable`] ([`StoragePlan::Compressed`]) — one core
+///   per router pair, terminal hops expanded into the caller's scratch.
+///   Best for router-symmetric machines past the dense limit (100k–1M
 ///   endpoints).
-/// * [`StoragePlan::Lazy`] — one [`SourceRow`] per *touched* source,
-///   built on first use. Best when the machine is much larger than the
-///   communicating node set (e.g. the 13 824-node fat tree).
-/// * [`StoragePlan::LazyCompressed`] — one core row per *touched source
-///   router*, for symmetric machines past even [`COMPRESSED_PAIR_LIMIT`].
-/// * [`direct`](RoutedTopology::direct) — no caching; lookups route into
-///   a caller-provided scratch buffer. Best for one-shot replays.
+/// * no table ([`direct`](RoutedTopology::direct)) — lookups route into
+///   the caller's scratch buffer. Best for replays that read each pair
+///   once, and the only choice past both limits.
 ///
 /// The module docs list the four ways to make one.
 pub struct RoutedTopology<'a> {
     topo: &'a dyn Topology,
-    storage: Storage,
+    /// The table lookups read, or `None` to route every lookup.
+    routes: Option<SharedRoutes>,
 }
 
 impl<'a> RoutedTopology<'a> {
-    /// Storage as `plan` says: a table built up front for the dense and
-    /// compressed plans (see [`StoragePlan::build_table`]), or rows built
-    /// on first touch of each source (router) for the lazy ones.
+    /// Storage as `plan` says: the table [`StoragePlan::build_table`]
+    /// builds.
     ///
     /// # Panics
     /// Panics if a compressed plan meets a topology without a usable
     /// [`SymmetryHint::RouterSymmetric`] hint.
     pub fn with_plan(topo: &'a dyn Topology, plan: StoragePlan) -> Self {
-        let storage = match plan {
-            StoragePlan::Dense | StoragePlan::Compressed => {
-                let table = plan.build_table(topo).expect("table plans build a table");
-                return table.routed(topo);
-            }
-            StoragePlan::Lazy => {
-                Storage::Lazy((0..topo.num_nodes()).map(|_| OnceLock::new()).collect())
-            }
-            StoragePlan::LazyCompressed => {
-                let p = router_symmetry(topo).expect(NEEDS_SYMMETRY);
-                let rows = (0..topo.num_nodes() / p).map(|_| OnceLock::new()).collect();
-                Storage::LazyCompressed(p, rows)
-            }
-        };
-        RoutedTopology { topo, storage }
+        plan.build_table(topo).routed(topo)
     }
 
-    /// Storage as [`StoragePlan::of`] plans it for `topo`: dense up to
-    /// [`DENSE_PAIR_LIMIT`] node pairs; above that, compressed storage when
-    /// the topology advertises router symmetry (full table up to
-    /// [`COMPRESSED_PAIR_LIMIT`] router pairs, lazy core rows beyond); lazy
-    /// flat rows otherwise.
+    /// Storage as [`StoragePlan::of`] plans it for `topo`: a dense table up
+    /// to [`DENSE_PAIR_LIMIT`] node pairs; above that, a compressed table
+    /// when the topology advertises router symmetry and has at most
+    /// [`COMPRESSED_PAIR_LIMIT`] router pairs; direct routing otherwise.
     pub fn auto(topo: &'a dyn Topology) -> Self {
-        Self::with_plan(topo, StoragePlan::of(topo))
+        match StoragePlan::of(topo) {
+            Some(plan) => Self::with_plan(topo, plan),
+            None => Self::direct(topo),
+        }
     }
 
     /// No precomputation: lookups route into the caller's scratch buffer.
     pub fn direct(topo: &'a dyn Topology) -> Self {
-        RoutedTopology {
-            storage: Storage::Direct,
-            topo,
-        }
+        RoutedTopology { topo, routes: None }
     }
 
     /// The wrapped topology.
@@ -848,43 +712,30 @@ impl<'a> RoutedTopology<'a> {
 
     /// The dense table, when this handle holds (or shares) one.
     pub fn table(&self) -> Option<&RouteTable> {
-        match &self.storage {
-            Storage::Dense(t) => Some(t),
+        match &self.routes {
+            Some(SharedRoutes::Flat(t)) => Some(t),
             _ => None,
         }
     }
 
     /// The compressed table, when this handle holds (or shares) one.
     pub fn compressed_table(&self) -> Option<&CompressedRouteTable> {
-        match &self.storage {
-            Storage::Compressed(t) => Some(t),
+        match &self.routes {
+            Some(SharedRoutes::Compressed(t)) => Some(t),
             _ => None,
         }
     }
 
-    /// Whether lookups are served from precomputed CSR storage.
+    /// Whether lookups are served from a precomputed table.
     pub fn is_precomputed(&self) -> bool {
-        !matches!(self.storage, Storage::Direct)
+        self.routes.is_some()
     }
 
-    /// The core `rs → rd` from lazily built core rows.
-    fn lazy_core<'r>(
-        &self,
-        p: usize,
-        rows: &'r [OnceLock<Csr>],
-        rs: usize,
-        rd: usize,
-    ) -> &'r [LinkId] {
-        rows[rs]
-            .get_or_init(|| Csr::row(rows.len(), |d, links| core_into(self.topo, p, rs, d, links)))
-            .entry(0, rd)
-    }
-
-    /// The route of a pair. Dense and lazy modes return a slice into CSR
-    /// storage and leave `scratch` untouched; compressed and direct modes
-    /// clear and fill `scratch` (compressed expands the two terminal hops
-    /// around the stored core). Callers in tight loops reuse one scratch
-    /// buffer and never allocate per pair.
+    /// The route of a pair. A dense table returns a slice into its CSR
+    /// storage and leaves `scratch` untouched; a compressed table and
+    /// direct routing clear and fill `scratch` (compressed expands the two
+    /// terminal hops around the stored core). Callers in tight loops reuse
+    /// one scratch buffer and never allocate per pair.
     #[inline]
     pub fn route_of<'s>(
         &'s self,
@@ -892,16 +743,10 @@ impl<'a> RoutedTopology<'a> {
         dst: NodeId,
         scratch: &'s mut Vec<LinkId>,
     ) -> &'s [LinkId] {
-        match &self.storage {
-            Storage::Dense(table) => table.route_of(src, dst),
-            Storage::Compressed(table) => table.route_of(src, dst, scratch),
-            Storage::Lazy(rows) => rows[src.idx()]
-                .get_or_init(|| SourceRow::build(self.topo, src))
-                .route_of(dst),
-            Storage::LazyCompressed(p, rows) => terminal_route(*p, src, dst, scratch, |rs, rd| {
-                self.lazy_core(*p, rows, rs, rd)
-            }),
-            Storage::Direct => {
+        match &self.routes {
+            Some(SharedRoutes::Flat(table)) => table.route_of(src, dst),
+            Some(SharedRoutes::Compressed(table)) => table.route_of(src, dst, scratch),
+            None => {
                 scratch.clear();
                 self.topo.route_into(src, dst, scratch);
                 scratch
@@ -909,21 +754,15 @@ impl<'a> RoutedTopology<'a> {
         }
     }
 
-    /// Hop count of a pair. Dense, compressed and lazy modes read it off
-    /// CSR offsets; direct mode defers to [`Topology::hops`] (closed-form
-    /// on most topologies).
+    /// Hop count of a pair. Both tables read it off CSR offsets; direct
+    /// routing defers to [`Topology::hops`] (closed-form on most
+    /// topologies).
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
-        match &self.storage {
-            Storage::Dense(table) => table.hops(src, dst),
-            Storage::Compressed(table) => table.hops(src, dst),
-            Storage::Lazy(rows) => rows[src.idx()]
-                .get_or_init(|| SourceRow::build(self.topo, src))
-                .hops(dst),
-            Storage::LazyCompressed(p, rows) => {
-                terminal_hops(*p, src, dst, |rs, rd| self.lazy_core(*p, rows, rs, rd))
-            }
-            Storage::Direct => self.topo.hops(src, dst),
+        match &self.routes {
+            Some(SharedRoutes::Flat(table)) => table.hops(src, dst),
+            Some(SharedRoutes::Compressed(table)) => table.hops(src, dst),
+            None => self.topo.hops(src, dst),
         }
     }
 }
@@ -961,38 +800,20 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_direct_agree_with_dense() {
+    fn direct_agrees_with_dense() {
         for topo in all_topos() {
             let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
-            let lazy = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Lazy);
             let direct = RoutedTopology::direct(topo.as_ref());
             let n = topo.num_nodes();
-            let (mut b1, mut b2, mut b3) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut b1, mut b2) = (Vec::new(), Vec::new());
             for s in (0..n).step_by(3) {
                 for d in (0..n).rev().step_by(2) {
                     let (s, d) = (NodeId(s as u32), NodeId(d as u32));
                     let r = dense.route_of(s, d, &mut b1).to_vec();
-                    assert_eq!(lazy.route_of(s, d, &mut b2), &r[..]);
-                    assert_eq!(direct.route_of(s, d, &mut b3), &r[..]);
+                    assert_eq!(direct.route_of(s, d, &mut b2), &r[..]);
                     assert_eq!(dense.hops(s, d), r.len() as u32);
-                    assert_eq!(lazy.hops(s, d), r.len() as u32);
                     assert_eq!(direct.hops(s, d), r.len() as u32);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn source_row_matches_table_row() {
-        let topo = Torus3D::new([4, 3, 2]);
-        let table = RouteTable::build(&topo);
-        for s in 0..topo.num_nodes() {
-            let row = SourceRow::build(&topo, NodeId(s as u32));
-            assert_eq!(row.num_nodes(), topo.num_nodes());
-            for d in 0..topo.num_nodes() {
-                let (sn, dn) = (NodeId(s as u32), NodeId(d as u32));
-                assert_eq!(row.route_of(dn), table.route_of(sn, dn));
-                assert_eq!(row.hops(dn), table.hops(sn, dn));
             }
         }
     }
@@ -1002,23 +823,19 @@ mod tests {
         let topo = Torus3D::new([3, 3, 3]);
         let table = RouteTable::build(&topo);
         let n = topo.num_nodes();
-        assert_eq!(
-            table.memory_bytes(),
-            4 * (n * n + 1) + 4 * table.total_route_links()
-        );
-        // Σ hops over ordered pairs of the 3×3×3 torus: mean distance is
-        // (6·1 + 12·2 + 8·3)/26 per source... just cross-check the matrix.
-        let expect: usize = (0..n)
+        // One u32 offset per pair plus one, one u32 link id per hop of
+        // every ordered pair.
+        let hops: usize = (0..n)
             .flat_map(|s| (0..n).map(move |d| (s, d)))
             .map(|(s, d)| topo.hops(NodeId(s as u32), NodeId(d as u32)) as usize)
             .sum();
-        assert_eq!(table.total_route_links(), expect);
+        assert_eq!(table.memory_bytes(), 4 * (n * n + 1) + 4 * hops);
     }
 
     #[test]
     fn auto_picks_dense_for_small_machines() {
         let small = Torus3D::new([4, 4, 4]);
-        assert_eq!(StoragePlan::of(&small), StoragePlan::Dense);
+        assert_eq!(StoragePlan::of(&small), Some(StoragePlan::Dense));
         assert!(RoutedTopology::auto(&small).table().is_some());
         assert!(RoutedTopology::auto(&small).is_precomputed());
         assert!(!RoutedTopology::direct(&small).is_precomputed());
@@ -1111,9 +928,8 @@ mod tests {
         for topo in symmetric_topos() {
             let dense = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense);
             let compressed = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Compressed);
-            let lazy_c = RoutedTopology::with_plan(topo.as_ref(), StoragePlan::LazyCompressed);
             let n = topo.num_nodes();
-            let (mut b1, mut b2, mut b3) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut b1, mut b2) = (Vec::new(), Vec::new());
             for s in 0..n {
                 for d in 0..n {
                     let (s, d) = (NodeId(s as u32), NodeId(d as u32));
@@ -1124,9 +940,7 @@ mod tests {
                         "{}: {s}->{d}",
                         topo.name()
                     );
-                    assert_eq!(lazy_c.route_of(s, d, &mut b3), &r[..]);
                     assert_eq!(compressed.hops(s, d), r.len() as u32);
-                    assert_eq!(lazy_c.hops(s, d), r.len() as u32);
                 }
             }
             assert!(compressed.compressed_table().is_some());
@@ -1207,7 +1021,7 @@ mod tests {
         // 2366 nodes -> n² ≈ 5.6M > DENSE_PAIR_LIMIT, but only 338 routers.
         let sf = crate::SlimFly::new(13, 7);
         assert!(sf.num_nodes() * sf.num_nodes() > DENSE_PAIR_LIMIT);
-        assert_eq!(StoragePlan::of(&sf), StoragePlan::Compressed);
+        assert_eq!(StoragePlan::of(&sf), Some(StoragePlan::Compressed));
         let routed = RoutedTopology::auto(&sf);
         assert!(routed.compressed_table().is_some());
         assert!(routed.table().is_none());
@@ -1223,40 +1037,23 @@ mod tests {
     }
 
     #[test]
-    fn auto_falls_back_to_lazy_core_rows_past_compressed_limit() {
-        // 9 000 routers -> R² = 81M > COMPRESSED_PAIR_LIMIT; symmetric, so
-        // the picker takes lazy per-source-router core rows.
+    fn auto_routes_directly_past_both_limits() {
+        // 9 000 routers -> R² = 81M > COMPRESSED_PAIR_LIMIT, though
+        // symmetric; an 80k-node torus is past the dense limit with no
+        // symmetry hint. Neither gets a table (and none is built here).
         let jf = crate::Jellyfish::new(9_000, 4, 1, 1);
-        assert_eq!(StoragePlan::of(&jf), StoragePlan::LazyCompressed);
-        let routed = RoutedTopology::auto(&jf);
-        assert!(routed.compressed_table().is_none());
-        assert!(routed.table().is_none());
-        assert!(routed.is_precomputed());
-        let direct = RoutedTopology::direct(&jf);
-        let (mut b1, mut b2) = (Vec::new(), Vec::new());
-        for (s, d) in [(0u32, 8_999u32), (17, 1200), (100, 101), (9, 9)] {
-            assert_eq!(
-                routed.route_of(NodeId(s), NodeId(d), &mut b1).to_vec(),
-                direct.route_of(NodeId(s), NodeId(d), &mut b2).to_vec()
-            );
-            assert_eq!(
-                routed.hops(NodeId(s), NodeId(d)),
-                direct.hops(NodeId(s), NodeId(d))
-            );
-        }
-    }
-
-    #[test]
-    fn auto_keeps_lazy_flat_rows_for_asymmetric_machines() {
-        // A 80k-node torus is past the dense limit and has no symmetry
-        // hint; auto must fall back to lazy flat rows (allocation only,
-        // no routing happens here).
         let t = crate::TorusNd::new(&[200, 200, 2]);
-        assert_eq!(StoragePlan::of(&t), StoragePlan::Lazy);
-        let routed = RoutedTopology::auto(&t);
-        assert!(routed.table().is_none());
-        assert!(routed.compressed_table().is_none());
-        assert!(routed.is_precomputed());
+        for topo in [&jf as &dyn Topology, &t] {
+            assert_eq!(StoragePlan::of(topo), None, "{}", topo.name());
+            assert!(!RoutedTopology::auto(topo).is_precomputed());
+        }
+        let routed = RoutedTopology::auto(&jf);
+        let mut scratch = Vec::new();
+        for (s, d) in [(0u32, 8_999u32), (17, 1200), (100, 101), (9, 9)] {
+            let (s, d) = (NodeId(s), NodeId(d));
+            assert_eq!(routed.route_of(s, d, &mut scratch), jf.route(s, d));
+            assert_eq!(routed.hops(s, d), jf.hops(s, d));
+        }
     }
 
     #[test]

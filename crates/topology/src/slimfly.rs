@@ -190,11 +190,6 @@ impl SlimFly {
         self.graph.num_routers()
     }
 
-    /// Network radix `(3q−1)/2` of every router.
-    pub fn network_radix(&self) -> usize {
-        (3 * self.q - 1) / 2
-    }
-
     /// Router-level adjacency, for oracles and diagnostics.
     pub fn router_graph(&self) -> &RouterGraph {
         &self.graph
@@ -294,9 +289,9 @@ mod tests {
         let q = 5;
         assert_eq!(sf.num_routers(), 2 * q * q);
         assert_eq!(sf.num_nodes(), 2 * q * q * 2);
-        assert_eq!(sf.network_radix(), 7);
+        // Network radix (3q − 1)/2 at every router.
         for r in 0..sf.num_routers() {
-            assert_eq!(sf.router_graph().degree(r), sf.network_radix());
+            assert_eq!(sf.router_graph().degree(r), (3 * q - 1) / 2);
         }
         let intra = sf
             .links()

@@ -96,16 +96,6 @@ impl TaperedFatTree {
         self.taper
     }
 
-    /// Number of leaf switches.
-    pub fn num_leaves(&self) -> usize {
-        self.leaves
-    }
-
-    /// Number of spine switches.
-    pub fn num_spines(&self) -> usize {
-        self.spines
-    }
-
     #[inline]
     fn leaf_of(&self, n: NodeId) -> usize {
         n.idx() / self.down_per_leaf
@@ -200,9 +190,9 @@ mod tests {
         // 2:1 taper: 32 down / 16 up — fewer leaves AND fewer up-links.
         assert_eq!(tapered.down_per_leaf, 32);
         assert_eq!(tapered.up_per_leaf, 16);
-        let uplinks = |t: &TaperedFatTree| t.num_leaves() * t.up_per_leaf;
+        let uplinks = |t: &TaperedFatTree| t.leaves * t.up_per_leaf;
         assert!(uplinks(&tapered) < uplinks(&full));
-        assert!(tapered.num_spines() < full.num_spines());
+        assert!(tapered.spines < full.spines);
     }
 
     #[test]

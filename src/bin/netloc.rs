@@ -375,7 +375,9 @@ fn parse_mapping(spec: &str) -> MappingSpec {
     })
 }
 
-/// Instantiate a mapping spec, serving `greedy` through the optimizer.
+/// Instantiate a mapping spec, serving `greedy` through the optimizer,
+/// which reads only hop counts: direct routing answers them in closed
+/// form on most topologies, without a route table.
 fn build_mapping(
     spec: &MappingSpec,
     ranks: usize,
@@ -383,9 +385,11 @@ fn build_mapping(
     tm: &TrafficMatrix,
 ) -> netloc::topology::Mapping {
     match spec {
-        MappingSpec::Greedy => {
-            greedy_mapping(&RoutedTopology::auto(topo), ranks, &tm.undirected_entries())
-        }
+        MappingSpec::Greedy => greedy_mapping(
+            &RoutedTopology::direct(topo),
+            ranks,
+            &tm.undirected_entries(),
+        ),
         other => other.build(ranks, topo.num_nodes()).unwrap_or_else(|e| {
             eprintln!("{e}");
             exit(2);

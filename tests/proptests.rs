@@ -423,18 +423,12 @@ fn replay_fold_matches_reference_under_any_placement() {
                 "dense",
                 RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Dense),
             ),
-            (
-                "lazy",
-                RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Lazy),
-            ),
         ];
         if topo.symmetry_hint().is_some() {
-            for (label, plan) in [
-                ("compressed", StoragePlan::Compressed),
-                ("lazy compressed", StoragePlan::LazyCompressed),
-            ] {
-                storages.push((label, RoutedTopology::with_plan(topo.as_ref(), plan)));
-            }
+            storages.push((
+                "compressed",
+                RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Compressed),
+            ));
         }
         for (label, routed) in &storages {
             assert_eq!(
@@ -937,8 +931,8 @@ fn symmetric_family_routes_are_clean_walks() {
     });
 }
 
-/// Replays over compressed route storage (eager and lazy) and the auto
-/// picker are byte-identical to the dense CSR replay on every
+/// Replays over compressed route storage, the auto picker and direct
+/// routing are byte-identical to the dense CSR replay on every
 /// router-symmetric family, for random traffic and random placements.
 #[test]
 fn compressed_replay_matches_dense_on_symmetric_machines() {
@@ -971,11 +965,8 @@ fn compressed_replay_matches_dense_on_symmetric_machines() {
                     "compressed",
                     RoutedTopology::with_plan(topo.as_ref(), StoragePlan::Compressed),
                 ),
-                (
-                    "lazy compressed",
-                    RoutedTopology::with_plan(topo.as_ref(), StoragePlan::LazyCompressed),
-                ),
                 ("auto", RoutedTopology::auto(topo.as_ref())),
+                ("direct", RoutedTopology::direct(topo.as_ref())),
             ] {
                 assert_eq!(
                     analyze_network_routed(&routed, &mapping, &tm),

@@ -220,33 +220,41 @@ fn sweep_stats_metrics_and_workload_endpoints() {
 fn machines_past_the_table_limits_route_lazily_per_request() {
     // torus:13,13,13 has 2 197 nodes, so 4.8M ordered pairs: past the
     // dense limit, and a torus has no router symmetry. The storage plan
-    // routes it with lazy rows, which the route cache never holds.
+    // builds no table for it, so each request routes only the pairs it
+    // replays, and the route cache holds nothing.
     let topo_spec: TopologySpec = "torus:13,13,13".parse().unwrap();
     let topo = topo_spec.build().unwrap();
-    assert_eq!(StoragePlan::of(topo.as_ref()), StoragePlan::Lazy);
+    assert_eq!(StoragePlan::of(topo.as_ref()), None);
 
     let server = start(test_config());
     let addr = server.addr();
-    let body = "{\"workload\": \"lulesh:64\", \"topology\": \"torus:13,13,13\"}";
-    let resp = client::post(addr, "/v1/analyze", body).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body_str());
-
     let (app, ranks, canonical) = netloc::workloads::parse_workload_spec("lulesh:64").unwrap();
     let ingest = netloc::core::ingest_trace(netloc::workloads::generate_workload(app, ranks));
-    let expected = payload::analyze(
-        &ingest.trace,
-        &ingest.matrix,
-        digest_hex(content_digest(format!("workload:{canonical}").as_bytes())),
-        &topo_spec,
-        &MappingSpec::Consecutive,
-        &RoutedTopology::auto(topo.as_ref()),
-    )
-    .unwrap();
-    assert_eq!(
-        resp.body,
-        canonical_json(&expected).into_bytes(),
-        "uncached response != payload::analyze over RoutedTopology::auto"
-    );
+    for (mapping, map_spec) in [
+        ("consecutive", MappingSpec::Consecutive),
+        ("greedy", MappingSpec::Greedy),
+    ] {
+        let body = format!(
+            "{{\"workload\": \"lulesh:64\", \"topology\": \"torus:13,13,13\", \
+             \"mapping\": \"{mapping}\"}}"
+        );
+        let resp = client::post(addr, "/v1/analyze", &body).unwrap();
+        assert_eq!(resp.status, 200, "{mapping}: {}", resp.body_str());
+        let expected = payload::analyze(
+            &ingest.trace,
+            &ingest.matrix,
+            digest_hex(content_digest(format!("workload:{canonical}").as_bytes())),
+            &topo_spec,
+            &map_spec,
+            &RoutedTopology::direct(topo.as_ref()),
+        )
+        .unwrap();
+        assert_eq!(
+            resp.body,
+            canonical_json(&expected).into_bytes(),
+            "{mapping}: uncached response != payload::analyze over RoutedTopology::direct"
+        );
+    }
     let statusz = client::get(addr, "/v1/statusz").unwrap();
     assert_eq!(
         json_counter(statusz.body_str(), &["route_tables_built"]),

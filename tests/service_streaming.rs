@@ -12,7 +12,9 @@ use netloc::mpi::{
 use netloc::service::http::json_escape;
 use netloc::service::{RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 fn start(config: ServerConfig) -> RunningServer {
     Server::start(config).expect("server starts on an ephemeral port")
@@ -178,6 +180,88 @@ fn chunked_upload_is_reserved_like_a_content_length_upload() {
     let s = statusz.body_str();
     assert!(s.contains("\"shed_inflight\": 2"), "{s}");
     assert!(s.contains("\"inflight_bytes\": 0"), "{s}");
+    server.shutdown();
+}
+
+/// The interim response a client that sent `Expect: 100-continue` waits
+/// for before it sends any body byte.
+const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
+/// Open a connection and send a request head, as a client that sends
+/// `Expect: 100-continue` does before its body.
+fn send_head(addr: SocketAddr, head: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(head.as_bytes()).unwrap();
+    stream
+}
+
+#[test]
+fn expect_100_continue_is_answered_before_the_body() {
+    let server = start(test_config());
+    let addr = server.addr();
+    let columnar = write_trace_columnar(&sample_trace());
+    let plain = post_bytes(addr, "/v1/traces", &columnar);
+    assert_eq!(plain.status, 200, "{}", plain.body_str());
+    let digest = json_str_field(plain.body_str(), "digest");
+
+    let mut chunked = Vec::new();
+    for chunk in columnar.chunks(500) {
+        chunked.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+        chunked.extend_from_slice(chunk);
+        chunked.extend_from_slice(b"\r\n");
+    }
+    chunked.extend_from_slice(b"0\r\n\r\n");
+    for (framing, body) in [
+        (format!("Content-Length: {}", columnar.len()), &columnar),
+        ("Transfer-Encoding: chunked".to_string(), &chunked),
+    ] {
+        let mut stream = send_head(
+            addr,
+            &format!(
+                "POST /v1/traces HTTP/1.1\r\nHost: {addr}\r\n{framing}\r\n\
+                 Expect: 100-continue\r\nConnection: close\r\n\r\n"
+            ),
+        );
+        // Nothing of the body is sent yet: the server must answer first.
+        let mut interim = [0u8; CONTINUE.len()];
+        stream
+            .read_exact(&mut interim)
+            .unwrap_or_else(|e| panic!("{framing}: no 100 Continue before the body: {e}"));
+        assert_eq!(&interim[..], CONTINUE, "{framing}");
+        stream.write_all(body).unwrap();
+        let mut rest = String::new();
+        stream.read_to_string(&mut rest).unwrap();
+        assert!(rest.starts_with("HTTP/1.1 200 "), "{framing}: {rest}");
+        assert_eq!(json_str_field(&rest, "digest"), digest, "{framing}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn expect_100_continue_is_not_sent_for_a_refused_body() {
+    // RFC 9110 §10.1.1: a final status instead of 100 lets the client
+    // skip sending the body at all.
+    let server = start(ServerConfig {
+        max_body_bytes: 1024,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let mut stream = send_head(
+        addr,
+        &format!(
+            "POST /v1/traces HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 4096\r\n\
+             Expect: 100-continue\r\nConnection: close\r\n\r\n"
+        ),
+    );
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
+    assert!(!reply.contains("100 Continue"), "{reply}");
+    // The server drains the connection until the client closes it.
+    drop(stream);
     server.shutdown();
 }
 

@@ -1,8 +1,18 @@
 //! Structural invariants of every Table 2 topology configuration, checked
 //! through the public facade.
 
+use netloc::core::{analyze_network_routed, node_pair_traffic, TrafficMatrix};
+use netloc::sim::{simulate, Injection, SimConfig};
 use netloc::topology::bfs::BfsRouter;
-use netloc::topology::{ConfigCatalog, LinkClass, NodeId, Topology, ValiantDragonfly};
+use netloc::topology::optimize::greedy_mapping;
+use netloc::topology::{
+    ConfigCatalog, Link, LinkClass, LinkId, Mapping, NodeId, RoutedTopology, SymmetryHint,
+    Topology, Torus3D, ValiantDragonfly,
+};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn torus_link_count_is_three_per_node() {
@@ -156,4 +166,121 @@ fn mesh_is_never_better_than_torus() {
             assert!(torus.hops(NodeId(s), NodeId(d)) <= mesh.hops(NodeId(s), NodeId(d)));
         }
     }
+}
+
+/// A topology that delegates every trait method to `inner` and counts the
+/// routes it computes.
+struct CountingRoutes<T> {
+    inner: T,
+    routes: AtomicUsize,
+}
+
+impl<T> CountingRoutes<T> {
+    fn new(inner: T) -> Self {
+        CountingRoutes {
+            inner,
+            routes: AtomicUsize::new(0),
+        }
+    }
+
+    /// Routes computed since the last call.
+    fn take(&self) -> usize {
+        self.routes.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl<T: Topology> Topology for CountingRoutes<T> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
+    }
+    fn links(&self) -> &[Link] {
+        self.inner.links()
+    }
+    fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
+        self.routes.fetch_add(1, Ordering::Relaxed);
+        self.inner.route_into(src, dst, out)
+    }
+    fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
+        self.inner.hops(src, dst)
+    }
+    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        self.routes.fetch_add(1, Ordering::Relaxed);
+        self.inner.route(src, dst)
+    }
+    fn symmetry_hint(&self) -> Option<SymmetryHint> {
+        self.inner.symmetry_hint()
+    }
+    fn diameter(&self) -> u32 {
+        self.inner.diameter()
+    }
+}
+
+/// Seeded traffic among `ranks` ranks.
+fn seeded_matrix(ranks: u32, records: usize, rng: &mut ChaCha8Rng) -> TrafficMatrix {
+    let mut tm = TrafficMatrix::new(ranks);
+    for _ in 0..records {
+        tm.record(
+            rng.gen_range(0..ranks),
+            rng.gen_range(0..ranks),
+            rng.gen_range(1..100_000),
+            rng.gen_range(1..4),
+        );
+    }
+    tm
+}
+
+#[test]
+fn one_shot_paths_route_only_what_they_read() {
+    let mut rng = ChaCha8Rng::seed_from_u64(24);
+
+    // 2 197 nodes: past the dense limit with no router symmetry, so the
+    // storage plan builds no table and each replay routes its own pairs.
+    let big = CountingRoutes::new(Torus3D::new([13, 13, 13]));
+    let tm = seeded_matrix(64, 400, &mut rng);
+    let mapping = Mapping::random(64, big.num_nodes(), &mut rng);
+    let pairs = node_pair_traffic(&mapping, &tm).len();
+    analyze_network_routed(&RoutedTopology::auto(&big), &mapping, &tm);
+    let routed = big.take();
+    assert!(
+        routed <= pairs,
+        "replay routed {routed} pairs for {pairs} distinct node pairs"
+    );
+
+    // The greedy optimizer reads hop counts only, which the torus
+    // computes in closed form.
+    let greedy = greedy_mapping(&RoutedTopology::auto(&big), 64, &tm.undirected_entries());
+    assert_eq!(greedy.num_ranks(), 64);
+    assert_eq!(big.take(), 0, "greedy mapping computed routes");
+
+    // The simulator routes each distinct node pair of its injections once.
+    let small = CountingRoutes::new(Torus3D::new([4, 4, 4]));
+    let injections: Vec<Injection> = (0..500)
+        .map(|i| Injection {
+            time: i as f64 * 1e-6,
+            src: rng.gen_range(0..64),
+            dst: rng.gen_range(0..64),
+            bytes: rng.gen_range(1..65_536),
+        })
+        .collect();
+    let mapping = Mapping::random(64, small.num_nodes(), &mut rng);
+    let distinct: HashSet<(NodeId, NodeId)> = injections
+        .iter()
+        .map(|m| {
+            (
+                mapping.node_of(m.src as usize),
+                mapping.node_of(m.dst as usize),
+            )
+        })
+        .collect();
+    let report = simulate(&small, &mapping, &injections, &SimConfig::default());
+    assert!(report.makespan_s > 0.0);
+    let routed = small.take();
+    assert!(
+        routed <= distinct.len(),
+        "simulate routed {routed} pairs for {} distinct node pairs",
+        distinct.len()
+    );
 }
