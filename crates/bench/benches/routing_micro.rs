@@ -2,7 +2,7 @@
 //! materialization on each topology at Table 2 scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use netloc_topology::{ConfigCatalog, NodeId, RouteTable, Topology, TorusNd};
+use netloc_topology::{ConfigCatalog, NodeId, RouteTable, Topology, Torus};
 use std::hint::black_box;
 
 fn bench_routing(c: &mut Criterion) {
@@ -40,7 +40,7 @@ fn bench_routing(c: &mut Criterion) {
         });
     }
     // N-dimensional torus and the dense route table.
-    let nd = TorusNd::new(&[4, 4, 4, 4, 4]); // 1024 nodes, 5D
+    let nd = Torus::nd(&[4, 4, 4, 4, 4]); // 1024 nodes, 5D
     g.bench_function("hops_torusnd_1024_5d", |b| {
         let n = nd.num_nodes() as u32;
         let mut i = 0u32;

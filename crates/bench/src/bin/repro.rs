@@ -624,7 +624,7 @@ fn taper() {
 fn dims() {
     use netloc_core::{analyze_network, TrafficMatrix};
     use netloc_topology::grid::fold_dims;
-    use netloc_topology::{Mapping, Topology, TorusNd};
+    use netloc_topology::{Mapping, Topology, Torus};
     banner("Network dimensionality: the same traffic on 1D..6D tori of 64 nodes");
     println!(
         "{:>20} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -638,7 +638,7 @@ fn dims() {
         for dims in shapes {
             // sanity: each shape covers exactly 64 nodes
             debug_assert_eq!(dims.iter().product::<usize>(), 64);
-            let topo = TorusNd::new(dims);
+            let topo = Torus::nd(dims);
             let m = Mapping::consecutive(64, topo.num_nodes());
             hops.push(analyze_network(&topo, &m, &tm).avg_hops());
         }

@@ -6,7 +6,7 @@
 //!
 //! | config          | topology               | nodes  | route storage  |
 //! |-----------------|------------------------|--------|----------------|
-//! | `torus-1728`    | `Torus3D [12,12,12]`   | 1 728  | dense CSR      |
+//! | `torus-1728`    | `Torus [12,12,12]`     | 1 728  | dense CSR      |
 //! | `fat-tree-2592` | `FatTree::new(48, 3)`  | 13 824 | direct routing |
 //! | `dragonfly-1056`| `Dragonfly::new(8,4,4)`| 1 056  | dense CSR      |
 //!
@@ -46,7 +46,7 @@ use netloc_core::{
 use netloc_topology::routetable::StoragePlan;
 use netloc_topology::{
     Dragonfly, FatTree, LinkClass, Mapping, MappingSpec, NodeId, RoutedTopology, Topology,
-    TopologySpec, Torus3D,
+    TopologySpec, Torus,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -76,7 +76,7 @@ fn paper_configs() -> Vec<BenchConfig> {
     vec![
         BenchConfig {
             name: "torus-1728",
-            topology: Box::new(Torus3D::new([12, 12, 12])),
+            topology: Box::new(Torus::new([12, 12, 12])),
             ranks: 1728,
         },
         BenchConfig {
@@ -96,7 +96,7 @@ fn smoke_configs() -> Vec<BenchConfig> {
     vec![
         BenchConfig {
             name: "torus-216",
-            topology: Box::new(Torus3D::new([6, 6, 6])),
+            topology: Box::new(Torus::new([6, 6, 6])),
             ranks: 216,
         },
         BenchConfig {

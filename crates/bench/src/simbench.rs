@@ -9,7 +9,7 @@
 //!
 //! | config           | topology               | nodes | injections (full) |
 //! |------------------|------------------------|-------|-------------------|
-//! | `sim-torus`      | `Torus3D [8,8,8]`      | 512   | ≥ 1 000 000       |
+//! | `sim-torus`      | `Torus [8,8,8]`        | 512   | ≥ 1 000 000       |
 //! | `sim-fat-tree`   | `FatTree::new(16, 3)`  | 512   | ≥ 1 000 000       |
 //! | `sim-dragonfly`  | `Dragonfly::new(8,4,4)`| 1 056 | ≥ 1 000 000       |
 //!
@@ -38,7 +38,7 @@ use netloc_sim::{
     expand_trace, simulate_parallel, simulate_reference, Injection, SimConfig, SimExec,
 };
 use netloc_topology::routetable::StoragePlan;
-use netloc_topology::{Dragonfly, FatTree, Mapping, RoutedTopology, Topology, Torus3D};
+use netloc_topology::{Dragonfly, FatTree, Mapping, RoutedTopology, Topology, Torus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
@@ -66,7 +66,7 @@ fn configs() -> Vec<BenchConfig> {
     vec![
         BenchConfig {
             name: "sim-torus",
-            topology: Box::new(Torus3D::new([8, 8, 8])),
+            topology: Box::new(Torus::new([8, 8, 8])),
         },
         BenchConfig {
             name: "sim-fat-tree",

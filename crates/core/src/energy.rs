@@ -71,10 +71,10 @@ mod tests {
     use super::*;
     use crate::netmodel::analyze_network;
     use crate::traffic::TrafficMatrix;
-    use netloc_topology::{Mapping, Torus3D};
+    use netloc_topology::{Mapping, Torus};
 
     fn report() -> NetworkReport {
-        let topo = Torus3D::new([4, 1, 1]);
+        let topo = Torus::new([4, 1, 1]);
         let m = Mapping::consecutive(4, 4);
         let mut tm = TrafficMatrix::new(4);
         for r in 0..4u32 {

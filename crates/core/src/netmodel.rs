@@ -439,7 +439,7 @@ pub fn analyze_network_routed_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netloc_topology::{Dragonfly, FatTree, Torus3D};
+    use netloc_topology::{Dragonfly, FatTree, Torus};
 
     fn ring_tm(n: u32, bytes: u64) -> TrafficMatrix {
         let mut tm = TrafficMatrix::new(n);
@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn torus_ring_traffic_hops() {
-        let topo = Torus3D::new([4, 1, 1]);
+        let topo = Torus::new([4, 1, 1]);
         let m = Mapping::consecutive(4, 4);
         let tm = ring_tm(4, 100);
         let rep = analyze_network(&topo, &m, &tm);
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn utilization_matches_hand_computation() {
-        let topo = Torus3D::new([4, 1, 1]);
+        let topo = Torus::new([4, 1, 1]);
         let m = Mapping::consecutive(4, 4);
         let tm = ring_tm(4, 100);
         let rep = analyze_network(&topo, &m, &tm);
@@ -511,7 +511,7 @@ mod tests {
         // traffic between a rank and itself, which the matrix drops.
         let mut tm = TrafficMatrix::new(4);
         tm.record(1, 1, 100, 1);
-        let topo = Torus3D::new([2, 2, 1]);
+        let topo = Torus::new([2, 2, 1]);
         let m = Mapping::consecutive(4, 4);
         let rep = analyze_network(&topo, &m, &tm);
         assert_eq!(rep.packets, 0);
@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn link_loads_sum_to_link_volume() {
-        let topo = Torus3D::new([3, 3, 3]);
+        let topo = Torus::new([3, 3, 3]);
         let m = Mapping::consecutive(27, 27);
         let mut tm = TrafficMatrix::new(27);
         for r in 0..27u32 {
@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn hop_histogram_sums_to_packets() {
-        let topo = Torus3D::new([3, 3, 3]);
+        let topo = Torus::new([3, 3, 3]);
         let m = Mapping::consecutive(27, 27);
         let mut tm = TrafficMatrix::new(27);
         for r in 0..27u32 {
@@ -564,7 +564,7 @@ mod tests {
 
     #[test]
     fn hop_quantile_brackets_avg() {
-        let topo = Torus3D::new([4, 4, 4]);
+        let topo = Torus::new([4, 4, 4]);
         let m = Mapping::consecutive(64, 64);
         let mut tm = TrafficMatrix::new(64);
         for r in 0..64u32 {
@@ -585,7 +585,7 @@ mod tests {
     fn hop_quantile_zero_skips_empty_buckets() {
         // 4-node ring, neighbor traffic only: every route is exactly one
         // hop, so hop_histogram[0] == 0 and the 0-quantile must be 1.
-        let topo = Torus3D::new([4, 1, 1]);
+        let topo = Torus::new([4, 1, 1]);
         let m = Mapping::consecutive(4, 4);
         let mut tm = TrafficMatrix::new(4);
         for r in 0..4u32 {
@@ -656,7 +656,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "mapping covers")]
     fn undersized_mapping_panics() {
-        let topo = Torus3D::new([2, 2, 2]);
+        let topo = Torus::new([2, 2, 2]);
         let m = Mapping::consecutive(4, 8);
         let tm = ring_tm(8, 1);
         analyze_network(&topo, &m, &tm);

@@ -91,7 +91,7 @@ mod tests {
     use super::*;
     use crate::metrics::rank_locality;
     use crate::netmodel::analyze_network;
-    use netloc_topology::{Mapping, Torus3D};
+    use netloc_topology::{Mapping, Torus};
     use rand::SeedableRng;
 
     #[test]
@@ -99,7 +99,7 @@ mod tests {
         // On a k-ary 1D ring folded in a torus [k,1,1], the mean ring
         // distance over random pairs is ~k/4.
         let k = 16u32;
-        let topo = Torus3D::new([k as usize, 1, 1]);
+        let topo = Torus::new([k as usize, 1, 1]);
         let m = Mapping::consecutive(k as usize, k as usize);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
         let tm = uniform_random(k, 4096, 2000, &mut rng);
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn transpose_crosses_half_the_ring() {
         let k = 16u32;
-        let topo = Torus3D::new([k as usize, 1, 1]);
+        let topo = Torus::new([k as usize, 1, 1]);
         let m = Mapping::consecutive(k as usize, k as usize);
         let rep = analyze_network(&topo, &m, &transpose(k, 4096, 1));
         assert_eq!(rep.avg_hops(), (k / 2) as f64); // the ring diameter
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn tornado_hits_near_diameter() {
         let k = 17u32; // odd ring: tornado offset = 8, ring distance 8
-        let topo = Torus3D::new([k as usize, 1, 1]);
+        let topo = Torus::new([k as usize, 1, 1]);
         let m = Mapping::consecutive(k as usize, k as usize);
         let rep = analyze_network(&topo, &m, &tornado(k, 4096, 1));
         assert_eq!(rep.avg_hops(), 8.0);

@@ -86,11 +86,11 @@ pub fn analyze_network_reference(
 mod tests {
     use super::*;
     use crate::netmodel::analyze_network;
-    use netloc_topology::{Dragonfly, FatTree, Torus3D};
+    use netloc_topology::{Dragonfly, FatTree, Torus};
 
     #[test]
     fn reference_matches_chunked_on_ring_traffic() {
-        let topo = Torus3D::new([3, 3, 3]);
+        let topo = Torus::new([3, 3, 3]);
         let m = Mapping::consecutive(27, 27);
         let mut tm = TrafficMatrix::new(27);
         for r in 0..27u32 {

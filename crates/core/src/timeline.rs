@@ -34,10 +34,7 @@ impl Timeline {
         let t_end = trace.exec_time_s.max(f64::MIN_POSITIVE);
         let window = t_end / num_bins as f64;
         let mut bins = vec![0.0f64; num_bins];
-        let mut deposit = |time: f64, bytes: f64| {
-            let idx = ((time / t_end) * num_bins as f64) as usize;
-            bins[idx.min(num_bins - 1)] += bytes;
-        };
+        let bin_of = |time: f64| (((time / t_end) * num_bins as f64) as usize).min(num_bins - 1);
         for te in &trace.events {
             let (bytes_per_call, repeat) = match &te.event {
                 Event::Send { repeat, .. } => (te.event.p2p_bytes().unwrap_or(0) as f64, *repeat),
@@ -55,14 +52,29 @@ impl Timeline {
                 }
             };
             if repeat == 1 {
-                deposit(te.time, bytes_per_call);
-            } else {
-                // Spread the repeats evenly from the event time to the end.
-                let span = t_end - te.time;
-                for k in 0..repeat {
-                    let t = te.time + span * (k as f64 + 0.5) / repeat as f64;
-                    deposit(t, bytes_per_call);
+                bins[bin_of(te.time)] += bytes_per_call;
+                continue;
+            }
+            // Spread the repeats evenly from the event time to the end.
+            // Sample `k`'s bin is monotone in `k`, so the samples fill runs
+            // of one bin each: bisect for each run's end and deposit the
+            // run at once, O(bins · log repeat) instead of O(repeat).
+            let span = t_end - te.time;
+            let sample_bin = |k: u64| bin_of(te.time + span * (k as f64 + 0.5) / repeat as f64);
+            let mut k = 0;
+            while k < repeat {
+                let bin = sample_bin(k);
+                let (mut last, mut past) = (k, repeat);
+                while past - last > 1 {
+                    let mid = last + (past - last) / 2;
+                    if sample_bin(mid) == bin {
+                        last = mid;
+                    } else {
+                        past = mid;
+                    }
                 }
+                bins[bin] += bytes_per_call * (past - k) as f64;
+                k = past;
             }
         }
         Timeline {
@@ -139,6 +151,88 @@ mod tests {
         let tl = Timeline::compute(&trace, 8);
         assert_eq!(tl.burstiness(), 0.0);
         assert_eq!(tl.idle_fraction(), 1.0);
+    }
+
+    /// The O(repeat) per-sample loop that `compute`'s run deposits replace.
+    fn per_repeat_bins(trace: &Trace, num_bins: usize) -> Vec<f64> {
+        let t_end = trace.exec_time_s.max(f64::MIN_POSITIVE);
+        let mut bins = vec![0.0f64; num_bins];
+        let mut deposit = |time: f64, bytes: f64| {
+            let idx = ((time / t_end) * num_bins as f64) as usize;
+            bins[idx.min(num_bins - 1)] += bytes;
+        };
+        for te in &trace.events {
+            let (bytes, repeat) = match &te.event {
+                Event::Send { repeat, .. } => (te.event.p2p_bytes().unwrap() as f64, *repeat),
+                Event::Collective {
+                    op,
+                    comm,
+                    root,
+                    payload,
+                    repeat,
+                } => {
+                    let c = trace.comms.get(*comm).unwrap();
+                    (collective_volume(*op, c, *root, payload) as f64, *repeat)
+                }
+            };
+            if repeat == 1 {
+                deposit(te.time, bytes);
+            } else {
+                let span = t_end - te.time;
+                for k in 0..repeat {
+                    deposit(te.time + span * (k as f64 + 0.5) / repeat as f64, bytes);
+                }
+            }
+        }
+        bins
+    }
+
+    #[test]
+    fn run_deposits_equal_the_per_repeat_loop() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(25);
+        for _ in 0..40 {
+            let exec_time = rng.gen_range(0.001..100.0);
+            let mut b = TraceBuilder::new("t", 8).exec_time_s(exec_time);
+            for _ in 0..rng.gen_range(1..30) {
+                let repeat = rng.gen_range(1..=10_000);
+                if rng.gen_bool(0.7) {
+                    let (src, dst) = (rng.gen_range(0..8), rng.gen_range(0..8));
+                    b.send(Rank(src), Rank(dst), rng.gen_range(0..1 << 20), repeat);
+                } else {
+                    let payload = Payload::Uniform(rng.gen_range(0..1 << 16));
+                    b.collective(CollectiveOp::Allgather, None, payload, repeat);
+                }
+            }
+            let mut trace = b.build();
+            // Events past the end or before the start spread backwards or
+            // over the whole window; both keep the bins monotone in `k`.
+            for te in &mut trace.events {
+                if rng.gen_bool(0.2) {
+                    te.time = exec_time * rng.gen_range(-0.5..1.5);
+                }
+            }
+            for bins in [1, 7, 64, 1000] {
+                let tl = Timeline::compute(&trace, bins);
+                assert_eq!(tl.bins, per_repeat_bins(&trace, bins), "{bins} bins");
+            }
+        }
+    }
+
+    #[test]
+    fn huge_repeat_counts_finish_and_conserve_volume() {
+        let mut b = TraceBuilder::new("t", 2).exec_time_s(3.0);
+        b.send(Rank(0), Rank(1), 1 << 20, 1);
+        b.send(Rank(1), Rank(0), 300, u64::MAX);
+        let start = std::time::Instant::now();
+        let tl = Timeline::compute(&b.build(), 4096);
+        assert!(start.elapsed().as_secs_f64() < 1.0, "{:?}", start.elapsed());
+        let total: f64 = tl.bins.iter().sum();
+        let expect = (1u64 << 20) as f64 + 300.0 * u64::MAX as f64;
+        assert!(
+            ((total - expect) / expect).abs() < 1e-9,
+            "{total} vs {expect}"
+        );
     }
 
     #[test]

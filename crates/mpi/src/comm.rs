@@ -43,12 +43,6 @@ impl Communicator {
         self.members.len()
     }
 
-    /// Translate a communicator-local rank to a world rank.
-    #[inline]
-    pub fn world_rank(&self, local: usize) -> Option<Rank> {
-        self.members.get(local).copied()
-    }
-
     /// Whether this communicator spans exactly ranks `0..n` in order, i.e.
     /// behaves like the global communicator. The paper restricts its
     /// analysis to traces using global communicators (§4.3).
@@ -118,8 +112,8 @@ mod tests {
         let w = Communicator::world(5);
         assert_eq!(w.size(), 5);
         assert!(w.is_global());
-        assert_eq!(w.world_rank(3), Some(Rank(3)));
-        assert_eq!(w.world_rank(5), None);
+        assert_eq!(w.members.get(3), Some(&Rank(3)));
+        assert_eq!(w.members.get(5), None);
     }
 
     #[test]
@@ -128,7 +122,7 @@ mod tests {
         let id = reg.register(vec![Rank(1), Rank(3), Rank(5)]);
         let c = reg.get(id).unwrap();
         assert!(!c.is_global());
-        assert_eq!(c.world_rank(2), Some(Rank(5)));
+        assert_eq!(c.members.get(2), Some(&Rank(5)));
     }
 
     #[test]

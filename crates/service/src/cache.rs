@@ -452,7 +452,7 @@ pub struct ResultCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netloc_topology::{CompressedRouteTable, RouteTable, Torus3D};
+    use netloc_topology::{CompressedRouteTable, RouteTable, Torus};
 
     #[test]
     fn topo_cache_builds_once_across_threads() {
@@ -461,7 +461,7 @@ mod tests {
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
-                    let topo = Torus3D::new([3, 3, 3]);
+                    let topo = Torus::new([3, 3, 3]);
                     match cache.shared_routes("torus:3,3,3", &topo) {
                         Some(SharedRoutes::Flat(t)) => t,
                         _ => panic!("a 27-node torus is cached flat"),
@@ -484,8 +484,8 @@ mod tests {
         // Every small spec names the same 27-node machine, so those tables
         // have one size, and the budget holds one of them beside the
         // largest table. "big" is a 64-node machine, over the budget alone.
-        let topo = Torus3D::new([3, 3, 3]);
-        let big = Torus3D::new([4, 4, 4]);
+        let topo = Torus::new([3, 3, 3]);
+        let big = Torus::new([4, 4, 4]);
         let table = RouteTable::build(&topo).memory_bytes();
         assert!(RouteTable::build(&big).memory_bytes() > 2 * table);
         let cache = Arc::new(TopoCache::with_budget(Some(Arc::clone(&store)), table));
@@ -514,7 +514,7 @@ mod tests {
                 let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache.shared_routes("a", &Torus3D::new([3, 3, 3])).unwrap()
+                    cache.shared_routes("a", &Torus::new([3, 3, 3])).unwrap()
                 })
             })
             .collect();
@@ -568,7 +568,7 @@ mod tests {
     fn topo_cache_declines_oversized_machines() {
         let cache = TopoCache::default();
         // 44³ = 85 184 nodes → 7.3e9 ordered pairs, far over the limit.
-        let big = Torus3D::new([44, 44, 44]);
+        let big = Torus::new([44, 44, 44]);
         assert!(cache.shared_routes("torus:44,44,44", &big).is_none());
         assert_eq!(cache.tables_built(), 0);
     }
@@ -667,7 +667,7 @@ mod tests {
     #[test]
     fn topo_cache_restores_tables_from_disk_instead_of_rebuilding() {
         let dir = tmpdir("topo");
-        let topo = Torus3D::new([3, 4, 2]);
+        let topo = Torus::new([3, 4, 2]);
         let built = {
             let store = DiskStore::open(&dir).unwrap();
             let cache = TopoCache::with_store(Some(Arc::clone(&store)));
@@ -748,8 +748,8 @@ mod tests {
 
     #[test]
     fn shared_routes_codec_dispatches_on_variant() {
-        use netloc_topology::{SlimFly, Torus3D};
-        let flat = SharedRoutes::Flat(Arc::new(RouteTable::build(&Torus3D::new([3, 3, 3]))));
+        use netloc_topology::{SlimFly, Torus};
+        let flat = SharedRoutes::Flat(Arc::new(RouteTable::build(&Torus::new([3, 3, 3]))));
         let comp =
             SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(&SlimFly::new(5, 2))));
         let flat2 = SharedRoutes::from_bytes(&flat.to_bytes()).unwrap();

@@ -539,10 +539,10 @@ mod tests {
     use super::*;
     use crate::refsim::simulate_reference;
     use netloc_topology::routetable::StoragePlan;
-    use netloc_topology::Torus3D;
+    use netloc_topology::Torus;
 
-    fn line4() -> Torus3D {
-        Torus3D::new([4, 1, 1])
+    fn line4() -> Torus {
+        Torus::new([4, 1, 1])
     }
 
     fn cfg() -> SimConfig {
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn disjoint_routes_do_not_interact() {
-        let topo = Torus3D::new([8, 1, 1]);
+        let topo = Torus::new([8, 1, 1]);
         let m = Mapping::consecutive(8, 8);
         let msgs = [inj(0.0, 0, 1, 1_000_000_000), inj(0.0, 4, 5, 1_000_000_000)];
         let r = simulate(&topo, &m, &msgs, &cfg());
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn parallel_is_byte_identical_to_reference_at_every_worker_and_window() {
-        let topo = Torus3D::new([4, 4, 2]);
+        let topo = Torus::new([4, 4, 2]);
         let m = Mapping::consecutive(32, 32);
         let msgs = crowded(3_000, 32);
         for forwarding in [Forwarding::StoreAndForward, Forwarding::CutThrough] {
@@ -721,7 +721,7 @@ mod tests {
 
     #[test]
     fn results_are_invariant_under_injection_order() {
-        let topo = Torus3D::new([3, 3, 3]);
+        let topo = Torus::new([3, 3, 3]);
         let m = Mapping::consecutive(27, 27);
         let mut msgs = crowded(1_000, 27);
         let reference = simulate_reference(&topo, &m, &msgs, &cfg());
@@ -734,7 +734,7 @@ mod tests {
 
     #[test]
     fn direct_and_dense_storage_agree() {
-        let topo = Torus3D::new([4, 4, 1]);
+        let topo = Torus::new([4, 4, 1]);
         let m = Mapping::consecutive(16, 16);
         let msgs = crowded(800, 16);
         let dense = RoutedTopology::with_plan(&topo, StoragePlan::Dense);

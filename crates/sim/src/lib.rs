@@ -32,12 +32,12 @@
 //!
 //! ```
 //! use netloc_mpi::{Rank, TraceBuilder};
-//! use netloc_topology::Torus3D;
+//! use netloc_topology::Torus;
 //! use netloc_sim::{SimConfig, simulate_trace};
 //!
 //! let mut b = TraceBuilder::new("demo", 8).exec_time_s(1.0);
 //! b.send(Rank(0), Rank(1), 1 << 20, 16);
-//! let report = simulate_trace(&b.build(), &Torus3D::new([2, 2, 2]),
+//! let report = simulate_trace(&b.build(), &Torus::new([2, 2, 2]),
 //!                             &SimConfig::default());
 //! assert_eq!(report.messages, 16);
 //! assert!(report.mean_latency_s > 0.0);

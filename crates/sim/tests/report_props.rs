@@ -9,7 +9,7 @@ use netloc_sim::{
     simulate_parallel, simulate_reference, Forwarding, Injection, SimConfig, SimExec, SimReport,
 };
 use netloc_topology::routetable::StoragePlan;
-use netloc_topology::{Dragonfly, FatTree, Mapping, RoutedTopology, Topology, Torus3D};
+use netloc_topology::{Dragonfly, FatTree, Mapping, RoutedTopology, Topology, Torus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -37,7 +37,7 @@ fn check(name: &str, mut body: impl FnMut(&mut ChaCha8Rng)) {
 /// A random topology, matching mapping, and bursty injection list.
 fn random_scenario(rng: &mut ChaCha8Rng) -> (Box<dyn Topology>, Mapping, Vec<Injection>) {
     let topo: Box<dyn Topology> = match rng.gen_range(0u8..3) {
-        0 => Box::new(Torus3D::new([
+        0 => Box::new(Torus::new([
             rng.gen_range(2usize..4),
             rng.gen_range(2usize..4),
             rng.gen_range(1usize..3),

@@ -10,7 +10,7 @@
 
 use netloc_core::TrafficMatrix;
 use netloc_mpi::Trace;
-use netloc_topology::{Dragonfly, FatTree, HyperX, Jellyfish, Mapping, SlimFly, Topology, Torus3D};
+use netloc_topology::{Dragonfly, FatTree, HyperX, Jellyfish, Mapping, SlimFly, Topology, Torus};
 use netloc_workloads::gen::seeded::{self, SeededPattern};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -69,7 +69,7 @@ impl TopologySpec {
     /// Instantiate the topology model.
     pub fn build(&self) -> Box<dyn Topology> {
         match *self {
-            TopologySpec::Torus(dims) => Box::new(Torus3D::new(dims)),
+            TopologySpec::Torus(dims) => Box::new(Torus::new(dims)),
             TopologySpec::FatTree { radix, stages } => Box::new(FatTree::new(radix, stages)),
             TopologySpec::Dragonfly { a, h, p } => Box::new(Dragonfly::new(a, h, p)),
             TopologySpec::SlimFly { q, p } => Box::new(SlimFly::new(q, p)),

@@ -95,11 +95,11 @@ pub fn validate_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dragonfly, FatTree, Torus3D};
+    use crate::{Dragonfly, FatTree, Torus};
 
     #[test]
     fn torus_routing_is_bfs_optimal() {
-        let t = Torus3D::new([4, 3, 3]);
+        let t = Torus::new([4, 3, 3]);
         let bfs = BfsRouter::new(&t);
         for s in 0..t.num_nodes() {
             let dist = bfs.distances_from(NodeId(s as u32));

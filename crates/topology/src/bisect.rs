@@ -135,7 +135,7 @@ fn bisect(slice: &mut [usize], adj: &[Vec<(usize, u64)>], passes: usize) {
 mod tests {
     use super::*;
     use crate::optimize::mapping_cost;
-    use crate::{Mapping, RoutedTopology, Torus3D};
+    use crate::{Mapping, RoutedTopology, Torus};
 
     fn clique_traffic(groups: &[&[usize]], heavy: u64) -> Vec<TrafficEntry> {
         let mut t = Vec::new();
@@ -161,7 +161,7 @@ mod tests {
         // separate them so each clique occupies one contiguous half.
         let traffic = clique_traffic(&[&[0, 2, 4, 6], &[1, 3, 5, 7]], 1000);
         let m = bisection_mapping(8, 8, &traffic, 4);
-        let torus = Torus3D::new([8, 1, 1]);
+        let torus = Torus::new([8, 1, 1]);
         let rt = RoutedTopology::auto(&torus);
         let consecutive = Mapping::consecutive(8, 8);
         assert!(mapping_cost(&rt, &m, &traffic) < mapping_cost(&rt, &consecutive, &traffic));
@@ -178,7 +178,7 @@ mod tests {
                 bytes: 100,
             })
             .collect();
-        let torus = Torus3D::new([16, 1, 1]);
+        let torus = Torus::new([16, 1, 1]);
         let rt = RoutedTopology::auto(&torus);
         let m = bisection_mapping(16, 16, &traffic, 4);
         let consecutive = Mapping::consecutive(16, 16);

@@ -1,6 +1,6 @@
 //! Topology configurations at scale — the paper's Table 2.
 
-use crate::{Dragonfly, FatTree, Torus3D};
+use crate::{Dragonfly, FatTree, Torus};
 use serde::Serialize;
 
 /// The topology configuration the paper assigns to one problem size
@@ -19,8 +19,8 @@ pub struct TopologyConfig {
 
 impl TopologyConfig {
     /// Instantiate the torus of this row.
-    pub fn build_torus(&self) -> Torus3D {
-        Torus3D::new(self.torus_dims)
+    pub fn build_torus(&self) -> Torus {
+        Torus::new(self.torus_dims)
     }
 
     /// Instantiate the fat tree of this row.

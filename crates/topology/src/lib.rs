@@ -7,9 +7,11 @@
 //! Three topologies are implemented, matching the paper's selection (§2.2.2
 //! and Table 2):
 //!
-//! * [`Torus3D`] — a direct topology; the switch sits inside the NIC, so a
+//! * [`Torus`] — a direct topology; the switch sits inside the NIC, so a
 //!   hop is a link between neighboring nodes and routing is dimension-order
-//!   over the shorter ring direction.
+//!   over the shorter ring direction. The same type builds the
+//!   N-dimensional torus ([`Torus::nd`]) and the 3D mesh without wrap
+//!   links ([`Torus::mesh`]).
 //! * [`FatTree`] — a k-ary n-tree built from radix-48 switches (half the
 //!   ports up, half down), with the top stage halved as the paper describes;
 //!   routing ascends to the nearest common ancestor and descends.
@@ -34,12 +36,14 @@
 //! per-node-pair flat CSR.
 //!
 //! ```
-//! use netloc_topology::{Topology, Torus3D};
+//! use netloc_topology::{Topology, Torus};
 //!
-//! let torus = Torus3D::new([4, 4, 4]);
+//! let torus = Torus::new([4, 4, 4]);
 //! assert_eq!(torus.num_nodes(), 64);
 //! // opposite corner of the 4x4x4 torus: one wrap hop per dimension
 //! assert_eq!(torus.hops(0.into(), 63.into()), 3);
+//! // the mesh has no wrap links: three hops per dimension
+//! assert_eq!(Torus::mesh([4, 4, 4]).hops(0.into(), 63.into()), 9);
 //! ```
 
 #![warn(missing_docs)]
@@ -58,7 +62,6 @@ pub mod hyperx;
 pub mod jellyfish;
 pub mod link;
 pub mod mapping;
-pub mod mesh;
 pub mod optimize;
 pub mod routergraph;
 pub mod routetable;
@@ -66,7 +69,6 @@ pub mod slimfly;
 pub mod spec;
 pub mod tapered;
 pub mod torus;
-pub mod torus_nd;
 pub mod valiant;
 
 pub use config::{ConfigCatalog, TopologyConfig};
@@ -76,14 +78,12 @@ pub use hyperx::HyperX;
 pub use jellyfish::Jellyfish;
 pub use link::{Link, LinkClass, LinkId, NodeId};
 pub use mapping::Mapping;
-pub use mesh::Mesh3D;
 pub use routergraph::RouterGraph;
 pub use routetable::{CompressedRouteTable, RouteTable, RoutedTopology};
 pub use slimfly::SlimFly;
 pub use spec::{MappingSpec, SpecError, TopologySpec};
 pub use tapered::TaperedFatTree;
-pub use torus::Torus3D;
-pub use torus_nd::TorusNd;
+pub use torus::Torus;
 pub use valiant::ValiantDragonfly;
 
 /// Structural symmetry a topology can advertise so route storage can
@@ -109,7 +109,8 @@ pub enum SymmetryHint {
 /// its route (every link traversal is one hop, exactly as the paper counts
 /// them in §2.2.1).
 pub trait Topology: Sync {
-    /// Human-readable topology name (`"torus3d"`, `"fattree"`, `"dragonfly"`).
+    /// Human-readable topology name (`"torus3d"`, `"torus-nd"`, `"mesh3d"`,
+    /// `"fattree"`, `"dragonfly"`, …).
     fn name(&self) -> &'static str;
 
     /// Number of compute nodes (network endpoints).
@@ -169,7 +170,7 @@ mod trait_tests {
 
     #[test]
     fn route_default_matches_route_into() {
-        let t = Torus3D::new([3, 3, 3]);
+        let t = Torus::new([3, 3, 3]);
         let mut buf = Vec::new();
         t.route_into(NodeId(1), NodeId(20), &mut buf);
         assert_eq!(t.route(NodeId(1), NodeId(20)), buf);
@@ -177,7 +178,7 @@ mod trait_tests {
 
     #[test]
     fn self_route_is_empty_and_zero_hops() {
-        let t = Torus3D::new([2, 2, 2]);
+        let t = Torus::new([2, 2, 2]);
         assert!(t.route(NodeId(3), NodeId(3)).is_empty());
         assert_eq!(t.hops(NodeId(3), NodeId(3)), 0);
     }

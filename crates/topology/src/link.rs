@@ -50,7 +50,8 @@ pub enum LinkClass {
     /// Node ↔ first-stage switch (fat tree, dragonfly). The torus has no
     /// terminal links: its switch is integrated into the NIC (§2.2.2).
     Terminal,
-    /// Torus ring link along dimension 0, 1 or 2.
+    /// Grid link along dimension `d` (any dimension count; meshes too):
+    /// a ring link of a torus or a chain link of a mesh.
     TorusDim(u8),
     /// Fat-tree link between stage `s` and stage `s + 1` switches
     /// (0-based; `FatTreeStage(0)` joins leaf and second-stage switches).

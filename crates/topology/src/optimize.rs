@@ -220,7 +220,7 @@ pub fn anneal_mapping<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Torus3D;
+    use crate::Torus;
     use rand::SeedableRng;
 
     /// Ring traffic: rank i talks to rank (i+1) % n.
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn cost_of_consecutive_ring_on_torus() {
-        let t = Torus3D::new([4, 4, 4]);
+        let t = Torus::new([4, 4, 4]);
         let m = Mapping::consecutive(64, 64);
         let traffic = ring_traffic(64);
         let c = mapping_cost(&RoutedTopology::auto(&t), &m, &traffic);
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn greedy_never_loses_to_random_on_clustered_traffic() {
-        let t = Torus3D::new([4, 4, 2]);
+        let t = Torus::new([4, 4, 2]);
         // Two heavy cliques of 4 ranks each.
         let mut traffic = Vec::new();
         for base in [0usize, 4] {
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn greedy_is_injective_and_complete() {
-        let t = Torus3D::new([3, 3, 3]);
+        let t = Torus::new([3, 3, 3]);
         let m = greedy_mapping(&RoutedTopology::auto(&t), 27, &ring_traffic(27));
         let mut nodes: Vec<_> = m.assignment().to_vec();
         nodes.sort();
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn annealing_does_not_worsen_best_cost() {
-        let t = Torus3D::new([4, 4, 4]);
+        let t = Torus::new([4, 4, 4]);
         let rt = RoutedTopology::auto(&t);
         let traffic = ring_traffic(64);
         let start = Mapping::consecutive(64, 64);
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn annealing_handles_trivial_instances() {
-        let t = Torus3D::new([2, 1, 1]);
+        let t = Torus::new([2, 1, 1]);
         let start = Mapping::consecutive(1, 2);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let m = anneal_mapping(

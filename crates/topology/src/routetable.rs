@@ -770,11 +770,11 @@ impl<'a> RoutedTopology<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dragonfly, FatTree, Torus3D};
+    use crate::{Dragonfly, FatTree, Torus};
 
     fn all_topos() -> Vec<Box<dyn Topology>> {
         vec![
-            Box::new(Torus3D::new([3, 3, 2])),
+            Box::new(Torus::new([3, 3, 2])),
             Box::new(FatTree::new(8, 2)),
             Box::new(Dragonfly::new(4, 2, 2)),
         ]
@@ -820,7 +820,7 @@ mod tests {
 
     #[test]
     fn memory_accounting_is_exact() {
-        let topo = Torus3D::new([3, 3, 3]);
+        let topo = Torus::new([3, 3, 3]);
         let table = RouteTable::build(&topo);
         let n = topo.num_nodes();
         // One u32 offset per pair plus one, one u32 link id per hop of
@@ -834,7 +834,7 @@ mod tests {
 
     #[test]
     fn auto_picks_dense_for_small_machines() {
-        let small = Torus3D::new([4, 4, 4]);
+        let small = Torus::new([4, 4, 4]);
         assert_eq!(StoragePlan::of(&small), Some(StoragePlan::Dense));
         assert!(RoutedTopology::auto(&small).table().is_some());
         assert!(RoutedTopology::auto(&small).is_precomputed());
@@ -843,7 +843,7 @@ mod tests {
 
     #[test]
     fn shared_table_agrees_with_dense_across_handles() {
-        let topo = Torus3D::new([3, 3, 2]);
+        let topo = Torus::new([3, 3, 2]);
         let table = Arc::new(RouteTable::build(&topo));
         let shared = SharedRoutes::Flat(Arc::clone(&table));
         let (a, b) = (shared.routed(&topo), shared.routed(&topo));
@@ -867,14 +867,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "different machine size")]
     fn shared_table_rejects_size_mismatch() {
-        let a = Torus3D::new([2, 2, 2]);
-        let b = Torus3D::new([3, 3, 3]);
+        let a = Torus::new([2, 2, 2]);
+        let b = Torus::new([3, 3, 3]);
         SharedRoutes::Flat(Arc::new(RouteTable::build(&a))).routed(&b);
     }
 
     #[test]
     fn byte_codec_round_trips_exactly() {
-        let topo = Torus3D::new([3, 4, 2]);
+        let topo = Torus::new([3, 4, 2]);
         let table = RouteTable::build(&topo);
         let bytes = table.to_bytes();
         let back = RouteTable::from_bytes(&bytes).unwrap();
@@ -893,7 +893,7 @@ mod tests {
 
     #[test]
     fn byte_codec_rejects_corruption_cleanly() {
-        let table = RouteTable::build(&Torus3D::new([2, 2, 2]));
+        let table = RouteTable::build(&Torus::new([2, 2, 2]));
         let bytes = table.to_bytes();
         // Every truncation must fail (only the exact length decodes).
         for len in 0..bytes.len() {
@@ -1042,7 +1042,7 @@ mod tests {
         // symmetric; an 80k-node torus is past the dense limit with no
         // symmetry hint. Neither gets a table (and none is built here).
         let jf = crate::Jellyfish::new(9_000, 4, 1, 1);
-        let t = crate::TorusNd::new(&[200, 200, 2]);
+        let t = crate::Torus::nd(&[200, 200, 2]);
         for topo in [&jf as &dyn Topology, &t] {
             assert_eq!(StoragePlan::of(topo), None, "{}", topo.name());
             assert!(!RoutedTopology::auto(topo).is_precomputed());
@@ -1059,7 +1059,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "router-symmetric")]
     fn compressed_rejects_topologies_without_symmetry() {
-        let t = Torus3D::new([3, 3, 3]);
+        let t = Torus::new([3, 3, 3]);
         RoutedTopology::with_plan(&t, StoragePlan::Compressed);
     }
 

@@ -24,8 +24,8 @@
 
 use crate::config::ConfigCatalog;
 use crate::{
-    Dragonfly, FatTree, HyperX, Jellyfish, Mapping, Mesh3D, NodeId, RoutedTopology, SlimFly,
-    Topology, Torus3D, TorusNd, ValiantDragonfly,
+    Dragonfly, FatTree, HyperX, Jellyfish, Mapping, NodeId, RoutedTopology, SlimFly, Topology,
+    Torus, ValiantDragonfly,
 };
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -159,9 +159,9 @@ impl TopologySpec {
     pub fn build(&self) -> Result<Box<dyn Topology>, SpecError> {
         self.check()?;
         Ok(match self {
-            TopologySpec::Torus(d) => Box::new(Torus3D::new(*d)),
-            TopologySpec::TorusNd(d) => Box::new(TorusNd::new(d)),
-            TopologySpec::Mesh(d) => Box::new(Mesh3D::new(*d)),
+            TopologySpec::Torus(d) => Box::new(Torus::new(*d)),
+            TopologySpec::TorusNd(d) => Box::new(Torus::nd(d)),
+            TopologySpec::Mesh(d) => Box::new(Torus::mesh(*d)),
             TopologySpec::FatTree { radix, stages } => Box::new(FatTree::new(*radix, *stages)),
             TopologySpec::Dragonfly { a, h, p } => Box::new(Dragonfly::new(*a, *h, *p)),
             TopologySpec::ValiantDragonfly { a, h, p } => {
@@ -742,7 +742,7 @@ mod tests {
 
     #[test]
     fn greedy_builds_through_the_optimizer() {
-        let topo = Torus3D::new([3, 3, 3]);
+        let topo = Torus::new([3, 3, 3]);
         let routed = RoutedTopology::auto(&topo);
         let traffic = vec![crate::optimize::TrafficEntry {
             src: 0,

@@ -169,17 +169,6 @@ pub struct StencilWeights {
     pub corner: f64,
 }
 
-impl StencilWeights {
-    /// Isotropic weights.
-    pub fn isotropic(face: f64, edge: f64, corner: f64) -> Self {
-        StencilWeights {
-            face: [face; 3],
-            edge,
-            corner,
-        }
-    }
-}
-
 /// Add a full 27-point (faces + edges + corners) halo exchange on `dims`
 /// (row-major rank layout, no wraparound — grid boundaries simply have
 /// fewer neighbors). `stride` spaces the participating ranks (used for
@@ -311,7 +300,11 @@ mod tests {
         add_stencil27(
             &mut p,
             &[3, 3, 3],
-            StencilWeights::isotropic(1.0, 1.0, 1.0),
+            StencilWeights {
+                face: [1.0; 3],
+                edge: 1.0,
+                corner: 1.0,
+            },
             1.0,
             1,
             1,
@@ -330,7 +323,11 @@ mod tests {
         add_stencil27(
             &mut p,
             &[4, 4, 4],
-            StencilWeights::isotropic(1.0, 0.0, 0.0),
+            StencilWeights {
+                face: [1.0; 3],
+                edge: 0.0,
+                corner: 0.0,
+            },
             1.0,
             1,
             2,
@@ -350,7 +347,11 @@ mod tests {
         add_stencil27(
             &mut p,
             &grid3(16).map(|x| x),
-            StencilWeights::isotropic(4.0, 1.0, 0.5),
+            StencilWeights {
+                face: [4.0; 3],
+                edge: 1.0,
+                corner: 0.5,
+            },
             1.0,
             5,
             1,

@@ -14,7 +14,7 @@ use netloc::mpi::{
     TraceBuilder,
 };
 use netloc::topology::bfs::BfsRouter;
-use netloc::topology::{grid, Dragonfly, FatTree, Mapping, NodeId, Topology, Torus3D};
+use netloc::topology::{grid, Dragonfly, FatTree, Mapping, NodeId, Topology, Torus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -51,7 +51,7 @@ fn torus_routing_is_optimal() {
             rng.gen_range(1usize..5),
             rng.gen_range(1usize..4),
         ];
-        let t = Torus3D::new(dims);
+        let t = Torus::new(dims);
         let n = t.num_nodes();
         let bfs = BfsRouter::new(&t);
         let src = NodeId(rng.gen_range(0..n as u32));
@@ -71,7 +71,7 @@ fn torus_routes_are_walks() {
             rng.gen_range(1usize..5),
             rng.gen_range(1usize..4),
         ];
-        let t = Torus3D::new(dims);
+        let t = Torus::new(dims);
         let n = t.num_nodes() as u32;
         let (s, d) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
         let route = t.route(s, d);
@@ -272,7 +272,7 @@ fn remap_plus_inverse_mapping_is_invariant() {
         perm.shuffle(rng);
         let remapped = remap_ranks(&trace, &perm).unwrap();
 
-        let topo = Torus3D::new([3, 3, 3]);
+        let topo = Torus::new([3, 3, 3]);
         let base = analyze_network(
             &topo,
             &Mapping::consecutive(n as usize, 27),
@@ -331,7 +331,7 @@ fn analyze_network_invariant_under_pair_order_and_chunking() {
             sends.shuffle(rng);
             let tm_shuffled = build(&sends);
 
-            let topo = Torus3D::new([4, 3, 2]);
+            let topo = Torus::new([4, 3, 2]);
             let mapping = Mapping::consecutive(n as usize, topo.num_nodes());
             let base = analyze_network(&topo, &mapping, &tm);
             assert_eq!(
@@ -372,7 +372,7 @@ fn replay_fold_matches_reference_under_any_placement() {
         let topo: Box<dyn Topology> = if rng.gen() {
             random_symmetric_topo(rng).0
         } else {
-            Box::new(Torus3D::new([3, 3, rng.gen_range(1usize..4)]))
+            Box::new(Torus::new([3, 3, rng.gen_range(1usize..4)]))
         };
         let nodes = topo.num_nodes();
         let ranks = rng.gen_range(1usize..=32);
@@ -580,7 +580,7 @@ fn sim_invariant_under_workers_windows_and_order() {
             );
         }
         let (mut injections, _) = expand_trace(&b.build(), 2_000);
-        let topo = Torus3D::new([3, 4, 2]);
+        let topo = Torus::new([3, 4, 2]);
         let mapping = Mapping::consecutive(ranks as usize, topo.num_nodes());
         let cfg = SimConfig {
             report_windows: rng.gen_range(0usize..6),

@@ -1,13 +1,14 @@
 //! Structural invariants of every Table 2 topology configuration, checked
 //! through the public facade.
 
+use netloc::core::canon::{canonical_json, content_digest, digest_hex};
 use netloc::core::{analyze_network_routed, node_pair_traffic, TrafficMatrix};
 use netloc::sim::{simulate, Injection, SimConfig};
 use netloc::topology::bfs::BfsRouter;
 use netloc::topology::optimize::greedy_mapping;
 use netloc::topology::{
-    ConfigCatalog, Link, LinkClass, LinkId, Mapping, NodeId, RoutedTopology, SymmetryHint,
-    Topology, Torus3D, ValiantDragonfly,
+    ConfigCatalog, Link, LinkClass, LinkId, Mapping, NodeId, RouteTable, RoutedTopology,
+    SymmetryHint, Topology, TopologySpec, Torus, ValiantDragonfly,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -159,12 +160,46 @@ fn fat_tree_hops_are_even_and_bounded() {
 #[test]
 fn mesh_is_never_better_than_torus() {
     // The wrap links can only help.
-    let mesh = netloc::topology::Mesh3D::new([6, 6, 6]);
-    let torus = netloc::topology::Torus3D::new([6, 6, 6]);
+    let mesh = Torus::mesh([6, 6, 6]);
+    let torus = Torus::new([6, 6, 6]);
     for s in 0..216u32 {
         for d in (0..216u32).step_by(7) {
             assert!(torus.hops(NodeId(s), NodeId(d)) <= mesh.hops(NodeId(s), NodeId(d)));
         }
+    }
+}
+
+/// Every grid family's bytes: `(spec, name, nodes, links, route-table
+/// length, route-table digest, link-list digest)`.
+#[rustfmt::skip]
+const GRID_PINS: [(&str, &str, usize, usize, usize, &str, &str); 8] = [
+    ("torus:4,3,2", "torus3d", 24, 72, 7_308, "be3d36eaf04b199d", "86c3a155bea30552"),
+    ("torus:2,5,1", "torus3d", 10, 20, 1_092, "f79e13d8804c1159", "06abf2882d82f01a"),
+    ("torus:1,1,1", "torus3d", 1, 0, 16, "8ff67d90ec006317", "d777b9253ef4c409"),
+    ("mesh:4,3,2", "mesh3d", 24, 46, 8_396, "3bbbd2761962b09f", "a3db97d4e45caffe"),
+    ("mesh:1,5,2", "mesh3d", 10, 13, 1_252, "b195023287e5aa83", "3b5df828faf7a8cd"),
+    ("torusnd:3,3,2,2", "torus-nd", 36, 144, 17_292, "0571a76d1efdbe2e", "2468407a163d6c1a"),
+    ("torusnd:2,2,2,2,2,2", "torus-nd", 64, 384, 65_548, "4ab57176e5bb89a9", "e1958fd7067a5e11"),
+    ("torusnd:7", "torus-nd", 7, 7, 544, "a3166de446419d49", "aa59e0410ad515db"),
+];
+
+#[test]
+fn grid_specs_keep_their_link_numbering_and_route_bytes() {
+    // The link list and the serialized route table of each spec digest to
+    // fixed values, so a change to link numbering, route choice or
+    // tie-breaking shows up here even where hop counts agree.
+    for (spec, name, nodes, links, table_len, table_digest, links_digest) in GRID_PINS {
+        let topo = spec.parse::<TopologySpec>().unwrap().build().unwrap();
+        assert_eq!(topo.name(), name, "{spec}");
+        assert_eq!(topo.num_nodes(), nodes, "{spec}");
+        assert_eq!(topo.links().len(), links, "{spec}");
+        let table = RouteTable::build(&*topo).to_bytes();
+        assert_eq!(table.len(), table_len, "{spec} table length");
+        let digest = digest_hex(content_digest(&table));
+        assert_eq!(digest, table_digest, "{spec} table");
+        let listed = canonical_json(&topo.links().to_vec());
+        let digest = digest_hex(content_digest(listed.as_bytes()));
+        assert_eq!(digest, links_digest, "{spec} links");
     }
 }
 
@@ -238,7 +273,7 @@ fn one_shot_paths_route_only_what_they_read() {
 
     // 2 197 nodes: past the dense limit with no router symmetry, so the
     // storage plan builds no table and each replay routes its own pairs.
-    let big = CountingRoutes::new(Torus3D::new([13, 13, 13]));
+    let big = CountingRoutes::new(Torus::new([13, 13, 13]));
     let tm = seeded_matrix(64, 400, &mut rng);
     let mapping = Mapping::random(64, big.num_nodes(), &mut rng);
     let pairs = node_pair_traffic(&mapping, &tm).len();
@@ -256,7 +291,7 @@ fn one_shot_paths_route_only_what_they_read() {
     assert_eq!(big.take(), 0, "greedy mapping computed routes");
 
     // The simulator routes each distinct node pair of its injections once.
-    let small = CountingRoutes::new(Torus3D::new([4, 4, 4]));
+    let small = CountingRoutes::new(Torus::new([4, 4, 4]));
     let injections: Vec<Injection> = (0..500)
         .map(|i| Injection {
             time: i as f64 * 1e-6,
