@@ -1,10 +1,11 @@
 //! Response payloads — the single definition of every JSON body the
 //! service emits.
 //!
-//! The CLI's `--json` flags (`netloc stats --json`, `netloc metrics
-//! --json`, `netloc serve`'s siblings) render these same structs through
-//! [`netloc_core::canon::canonical_json`], which is what makes server
-//! responses and CLI output diffable byte-for-byte, and what lets the
+//! `netloc stats --json` and `netloc metrics --json` render
+//! [`StatsResponse`] and [`MetricsResponse`] through
+//! [`netloc_core::canon::canonical_json`], as `/v1/stats` and `/v1/metrics`
+//! do, so those two CLI outputs and the server's responses are diffable
+//! byte-for-byte. The canonical rendering is also what lets the
 //! integration tests compare a served response against a direct
 //! `analyze_network_routed` call down to the last byte.
 

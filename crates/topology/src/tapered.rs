@@ -35,7 +35,9 @@ impl TaperedFatTree {
     ///
     /// # Panics
     /// Panics if `radix` is not divisible by `taper + 1`, or parameters are
-    /// degenerate, or the spine ports cannot absorb the up-links evenly.
+    /// degenerate, or `min_nodes` exceeds `radix × down`: past that the
+    /// tree has more leaves than the radix, hence more spines than a leaf
+    /// has up-ports, and two leaves may share no spine to route through.
     pub fn new(radix: usize, taper: usize, min_nodes: usize) -> Self {
         assert!(taper >= 1, "taper must be at least 1:1");
         assert!(
@@ -46,7 +48,14 @@ impl TaperedFatTree {
         let down = radix - up;
         assert!(down > 0 && up > 0);
         let leaves = min_nodes.div_ceil(down).max(2);
+        assert!(
+            leaves <= radix,
+            "{min_nodes} nodes exceed the {} a radix-{radix} {taper}:1 tapered tree can route",
+            radix * down
+        );
         // Spines: enough ports for every up-link; round the spine count up.
+        // With `leaves <= radix` there are at most `up` spines, so every
+        // leaf reaches every spine.
         let spines = (leaves * up).div_ceil(radix).max(1);
         let nodes = leaves * down;
 
@@ -154,7 +163,7 @@ impl Topology for TaperedFatTree {
             // Find the destination leaf's port reaching `spine`.
             let down_port = (0..self.up_per_leaf)
                 .find(|k| (ld * self.up_per_leaf + k) % self.spines == spine)
-                .unwrap_or(0);
+                .expect("every leaf reaches every spine");
             out.push(self.up_link(ld, down_port));
         }
         out.push(LinkId(dst.0)); // terminal down
@@ -214,33 +223,51 @@ mod tests {
 
     #[test]
     fn routes_are_contiguous_and_match_hops() {
-        let t = TaperedFatTree::new(12, 3, 50); // 9 down / 3 up
-        for s in 0..t.num_nodes() {
-            for d in 0..t.num_nodes() {
-                let (s, d) = (NodeId(s as u32), NodeId(d as u32));
-                let route = t.route(s, d);
-                assert_eq!(route.len() as u32, t.hops(s, d));
-                let mut cur = s.0;
-                for lid in &route {
-                    cur = t.links()[lid.idx()]
-                        .other(cur)
-                        .unwrap_or_else(|| panic!("broken {s}->{d}"));
+        // 9 down / 3 up, and the two largest trees of their radix.
+        for t in [
+            TaperedFatTree::new(12, 3, 50),
+            TaperedFatTree::new(4, 1, 8),
+            TaperedFatTree::new(6, 2, 24),
+        ] {
+            for s in 0..t.num_nodes() {
+                for d in 0..t.num_nodes() {
+                    let (s, d) = (NodeId(s as u32), NodeId(d as u32));
+                    let route = t.route(s, d);
+                    assert_eq!(route.len() as u32, t.hops(s, d));
+                    let mut cur = s.0;
+                    for lid in &route {
+                        cur = t.links()[lid.idx()]
+                            .other(cur)
+                            .unwrap_or_else(|| panic!("broken {s}->{d}"));
+                    }
+                    assert_eq!(cur, d.0);
                 }
-                assert_eq!(cur, d.0);
             }
         }
     }
 
     #[test]
     fn routing_is_bfs_optimal() {
-        let t = TaperedFatTree::new(8, 1, 16); // 4 down / 4 up
-        let bfs = BfsRouter::new(&t);
-        for s in 0..t.num_nodes() {
-            let dist = bfs.distances_from(NodeId(s as u32));
-            for d in 0..t.num_nodes() {
-                assert_eq!(t.hops(NodeId(s as u32), NodeId(d as u32)), dist[d]);
+        // 4 down / 4 up, and the two largest trees of their radix.
+        for t in [
+            TaperedFatTree::new(8, 1, 16),
+            TaperedFatTree::new(4, 1, 8),
+            TaperedFatTree::new(6, 2, 24),
+        ] {
+            let bfs = BfsRouter::new(&t);
+            for s in 0..t.num_nodes() {
+                let dist = bfs.distances_from(NodeId(s as u32));
+                for d in 0..t.num_nodes() {
+                    assert_eq!(t.hops(NodeId(s as u32), NodeId(d as u32)), dist[d]);
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "9 nodes exceed the 8")]
+    fn more_leaves_than_the_radix_panic() {
+        TaperedFatTree::new(4, 1, 9); // 5 leaves of 2 nodes on radix-4 switches
     }
 
     #[test]

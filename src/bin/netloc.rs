@@ -57,9 +57,14 @@
 //! Mappings: `consecutive` (default), `block:CORES`, `random[:SEED]`,
 //! `random-block:CORES,SEED`, `greedy`.
 //!
-//! `--json` renders through `netloc_core::canon::canonical_json`, the same
-//! canonicalizer the service uses — CLI and server output are diffable
-//! byte-for-byte.
+//! `stats --json` and `metrics --json` render the service's own response
+//! structs (`netloc_service::payload`) through
+//! `netloc_core::canon::canonical_json`, the same canonicalizer the service
+//! uses, so their output is diffable byte-for-byte against `/v1/stats` and
+//! `/v1/metrics`. `analyze`, `replay` and `simulate --json` print CLI-only
+//! structs through `serde_json::to_string_pretty`, with no float rounding
+//! and no service counterpart; `replay` names the topology by its
+//! `Topology::name()` (for example `torus3d`), not by its spec.
 
 use netloc::core::canon::canonical_json;
 use netloc::core::metrics::{dimensionality, peers, rank_locality, selectivity};
